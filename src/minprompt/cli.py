@@ -11,6 +11,12 @@ previous left off by reading the artifacts in the output directory:
     minprompt stats    --out DIR
     minprompt eval     --pred predictions.jsonl --gold answers.jsonl
 
+`ingest`, `graph`, `select` and `generate` run one entry of the pipeline's
+stage table each: they validate the config as `run` does and write the same
+artifacts `run` writes (all but the resolved-config echo), so `stats` also
+works after a staged chain. Only the pipeline module knows which files those
+are.
+
 Exit codes: 0 success, 2 configuration/validation problems, 1 stage
 failures. Diagnostics go to stderr tagged with the failing stage.
 """
@@ -23,13 +29,10 @@ import os
 import sys
 from dataclasses import replace
 
-from . import domset as domset_mod
 from . import pipeline as pipeline_mod
-from . import sentgraph as sentgraph_mod
 from .errors import MinpromptError, ParseError, StageError, ValidationError
 from .evaluation import evaluate_files
 from .pipeline import PipelineConfig
-from .qgen import write_samples_jsonl
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,10 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add_config_command("run", "execute the whole pipeline")
-    add_config_command("ingest", "ingest and segment the corpus")
-    add_config_command("graph", "recognize entities, retrieve support sentences, build the graph")
-    add_config_command("select", "compute the dominating set over a built graph")
-    add_config_command("generate", "assemble training samples from a selection")
+    for name, stage in pipeline_mod.STAGES.items():
+        add_config_command(name, stage.help)
 
     stats_cmd = sub.add_parser("stats", help="print pipeline statistics for an output directory")
     stats_cmd.add_argument("--out", required=True, help="output directory of a previous run")
@@ -84,114 +85,31 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    stats = pipeline_mod.run_pipeline(config)
+def _print_stats(stats: pipeline_mod.PipelineStats) -> int:
     print(pipeline_mod.stats_table(stats))
     if stats.training_samples == 0:
         print("warning: no training samples were generated", file=sys.stderr)
     return 0
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_run(args) -> int:
+    return _print_stats(pipeline_mod.run_pipeline(_load_config(args)))
+
+
+def _cmd_stage(args) -> int:
     config = _load_config(args)
     config.validate()
+    stage = pipeline_mod.STAGES[args.command]
     os.makedirs(config.output_dir, exist_ok=True)
-    clock = pipeline_mod.StageClock()
-    documents, sentences = clock.run("ingest", pipeline_mod.stage_ingest, config)
-    pipeline_mod.write_documents(documents, os.path.join(config.output_dir, "documents.jsonl"))
-    pipeline_mod.write_sentences(sentences, os.path.join(config.output_dir, "sentences.jsonl"))
-    print(f"ingested {len(documents)} documents, {len(sentences)} sentences")
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    config = _load_config(args)
-    config.validate()
-    out = config.output_dir
-    sentences = pipeline_mod.read_sentences(os.path.join(out, "sentences.jsonl"))
-    # Rebuilding from the ingest artifacts keeps this stage idempotent.
-    sentences = [s for s in sentences if s.origin == "corpus"]
-    clock = pipeline_mod.StageClock()
-    mentions = clock.run("recognize", pipeline_mod.stage_recognize, config, sentences)
-    query_of: dict[int, int] = {}
-    if config.retrieval_enabled:
-        sentences, mentions, query_of = clock.run(
-            "retrieve", pipeline_mod.stage_retrieve, config, sentences, mentions
-        )
-    graph = clock.run("build_graph", pipeline_mod.stage_build_graph, config, sentences, mentions)
-    pipeline_mod.write_sentences(sentences, os.path.join(out, "sentences.jsonl"))
-    pipeline_mod.write_mentions(mentions, os.path.join(out, "mentions.jsonl"))
-    if config.retrieval_enabled:
-        pipeline_mod.write_jsonl(
-            (
-                {"sentence_id": rid, "query_sentence_id": qid}
-                for rid, qid in sorted(query_of.items())
-            ),
-            os.path.join(out, "retrieved.jsonl"),
-        )
-    sentgraph_mod.write_postings_dump(graph, os.path.join(out, "postings.jsonl"))
-    with open(os.path.join(out, "graph_stats.json"), "w", encoding="utf-8") as handle:
-        json.dump(graph.stats().__dict__, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    stats = graph.stats()
-    print(f"graph: {stats.nodes} nodes, {stats.edges} edges, {stats.entities} entities")
-    return 0
-
-
-def _cmd_select(args) -> int:
-    config = _load_config(args)
-    out = config.output_dir
-    with open(os.path.join(out, "graph_stats.json"), "r", encoding="utf-8") as handle:
-        node_count = json.load(handle)["nodes"]
-    graph = sentgraph_mod.read_postings_dump(os.path.join(out, "postings.jsonl"), node_count)
-    clock = pipeline_mod.StageClock()
-    result = clock.run(
-        "dominating_set", domset_mod.approx_dominating_set, graph, config.degree_mode
-    )
-    with open(os.path.join(out, "selection.json"), "w", encoding="utf-8") as handle:
-        json.dump(domset_mod.export_result(result), handle, sort_keys=True)
-        handle.write("\n")
-    print(f"selected {len(result.selected)} of {node_count} sentences")
-    return 0
-
-
-def _cmd_generate(args) -> int:
-    config = _load_config(args)
-    out = config.output_dir
-    documents = pipeline_mod.read_documents(os.path.join(out, "documents.jsonl"))
-    sentences = pipeline_mod.read_sentences(os.path.join(out, "sentences.jsonl"))
-    mentions = pipeline_mod.read_mentions(os.path.join(out, "mentions.jsonl"), sentences)
-    with open(os.path.join(out, "selection.json"), "r", encoding="utf-8") as handle:
-        selected = json.load(handle)["selected"]
-    query_of: dict[int, int] = {}
-    retrieved_path = os.path.join(out, "retrieved.jsonl")
-    if os.path.exists(retrieved_path):
-        for record in pipeline_mod.read_jsonl(retrieved_path):
-            query_of[record["sentence_id"]] = record["query_sentence_id"]
-    doc_map = {d.doc_id: d for d in documents}
-    clock = pipeline_mod.StageClock()
-    samples = clock.run(
-        "generate",
-        pipeline_mod.stage_generate,
-        config,
-        selected,
-        sentences,
-        mentions,
-        doc_map,
-        query_of,
-    )
-    write_samples_jsonl(samples, os.path.join(out, "samples.jsonl"))
-    print(f"wrote {len(samples)} samples")
+    state = pipeline_mod.load_artifacts(config.output_dir, stage.reads)
+    summary = stage.body(config, pipeline_mod.StageClock(), state)
+    pipeline_mod.save_artifacts(state, config.output_dir, stage.writes)
+    print(summary)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    stats = pipeline_mod.read_stats(os.path.abspath(args.out))
-    print(pipeline_mod.stats_table(stats))
-    if stats.training_samples == 0:
-        print("warning: no training samples were generated", file=sys.stderr)
-    return 0
+    return _print_stats(pipeline_mod.read_stats(os.path.abspath(args.out)))
 
 
 def _cmd_eval(args) -> int:
@@ -202,10 +120,7 @@ def _cmd_eval(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "ingest": _cmd_ingest,
-    "graph": _cmd_graph,
-    "select": _cmd_select,
-    "generate": _cmd_generate,
+    **{name: _cmd_stage for name in pipeline_mod.STAGES},
     "stats": _cmd_stats,
     "eval": _cmd_eval,
 }

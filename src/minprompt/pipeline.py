@@ -1,22 +1,28 @@
-"""End-to-end orchestration: config, stage execution, artifacts, stats.
+"""End-to-end orchestration: config, the stage table, artifacts, stats.
 
-Each stage persists its output next to the final dataset so later stages
-(and the CLI subcommands) can resume from disk:
+Each stage is declared once in STAGES by the artifacts it reads, its body
+and the artifacts it writes; ARTIFACTS maps each artifact to its file in
+the output directory:
 
-    documents.jsonl   ingested documents
-    sentences.jsonl   segmented sentences (retrieved ones appended)
-    mentions.jsonl    entity mentions, sidecar-compatible records
-    retrieved.jsonl   retrieved-sentence provenance (when retrieval is on)
-    postings.jsonl    entity -> sentence-id posting lists
-    graph_stats.json  node/edge/entity counts
-    selection.json    dominating-set result
-    samples.jsonl     the training samples
-    stats.json        pipeline statistics (deterministic)
-    timings.json      per-stage wall times (not deterministic)
-    effective_config.cfg  resolved configuration echo
+    ingest    documents.jsonl   ingested documents
+              sentences.jsonl   segmented sentences
+    graph     sentences.jsonl   the same, retrieved ones appended
+              mentions.jsonl    entity mentions, sidecar-compatible records
+              retrieved.jsonl   retrieved-sentence provenance (only with retrieval)
+              postings.jsonl    entity -> sentence-id posting lists
+              graph_stats.json  node/edge/entity counts
+    select    selection.json    dominating-set result
+    generate  samples.jsonl     the training samples
+              stats.json        pipeline statistics (deterministic)
+              timings.json      per-stage wall times (not deterministic)
 
-Outputs are byte-identical across runs with the same inputs and seed;
-wall times therefore live in timings.json, not stats.json.
+`run_pipeline` keeps every intermediate in memory and writes each file
+once, plus effective_config.cfg (the resolved configuration echo). A
+per-stage CLI command validates the config as `run` does, reads its
+stage's inputs, runs the body and writes its outputs, so a staged chain
+leaves the same files as `run`, stats.json included, all but the echo.
+Same inputs and seed give byte-identical outputs, so wall times live in
+timings.json only.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
 from . import domset as domset_mod
@@ -313,12 +320,6 @@ def stats_table(stats: PipelineStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows)
 
 
-def stats_report(stats: PipelineStats, out_dir: str) -> str:
-    """Write the machine-readable stats files and return the table text."""
-    write_stats_files(stats, out_dir)
-    return stats_table(stats)
-
-
 class StageClock:
     """Runs stage bodies, records wall times, and tags failures."""
 
@@ -344,6 +345,17 @@ def write_jsonl(records, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if lines:
             handle.write("\n".join(lines) + "\n")
+
+
+def _write_json(payload, path: str, indent: int | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=indent, sort_keys=True)
+        handle.write("\n")
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def read_jsonl(path: str) -> list[dict]:
@@ -430,24 +442,22 @@ def read_mentions(path: str, sentences: list[Sentence]) -> dict[int, list[Entity
 # stage bodies
 
 
-def stage_ingest(config: PipelineConfig) -> tuple[list[Document], list[Sentence]]:
-    paths = expand_input_paths(config.input_paths)
+def ingest_and_segment(
+    config: PipelineConfig,
+    paths: tuple[str, ...],
+    input_format: str,
+    dedup_contexts: bool = False,
+) -> tuple[list[Document], list[Sentence]]:
+    """Ingest one corpus (the input or the support corpus) and segment it."""
     documents = corpus_mod.ingest(
-        paths, config.input_format, config.dataset_id, config.dedup_contexts
+        expand_input_paths(paths), input_format, config.dataset_id, dedup_contexts
     )
     abbreviations = (
         corpus_mod.load_abbreviations(config.abbreviations_path)
         if config.abbreviations_path
         else corpus_mod.DEFAULT_ABBREVIATIONS
     )
-    sentences = corpus_mod.segment_corpus(documents, abbreviations)
-    return documents, sentences
-
-
-def stage_recognize(
-    config: PipelineConfig, sentences: list[Sentence]
-) -> dict[int, list[EntityMention]]:
-    return entities_mod.recognize(sentences, config.recognizer_config())
+    return documents, corpus_mod.segment_corpus(documents, abbreviations)
 
 
 def build_doc_key_spans(
@@ -481,16 +491,9 @@ def stage_retrieve(
     each retrieved sentence id to the query sentence id that fetched it
     first (context provenance).
     """
-    support_paths = expand_input_paths(config.support_paths)
-    support_docs = corpus_mod.ingest(
-        support_paths, config.support_format, config.dataset_id
+    _, support_sentences = ingest_and_segment(
+        config, config.support_paths, config.support_format
     )
-    abbreviations = (
-        corpus_mod.load_abbreviations(config.abbreviations_path)
-        if config.abbreviations_path
-        else corpus_mod.DEFAULT_ABBREVIATIONS
-    )
-    support_sentences = corpus_mod.segment_corpus(support_docs, abbreviations)
     if config.support_sidecar_path:
         support_mentions = entities_mod.load_sidecar(
             config.support_sidecar_path, support_sentences
@@ -611,78 +614,195 @@ def stage_generate(
     )
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineStats:
-    """Execute every stage, writing all artifacts into config.output_dir."""
-    config.validate()
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    clock = StageClock()
+# ---------------------------------------------------------------------------
+# the stage table
 
-    documents, sentences = clock.run("ingest", stage_ingest, config)
-    mentions = clock.run("recognize", stage_recognize, config, sentences)
 
-    query_of: dict[int, int] = {}
+@dataclass
+class PipelineState:
+    """The values stages hand each other; each field is one entry of ARTIFACTS."""
+
+    documents: list[Document] | None = None
+    sentences: list[Sentence] | None = None
+    mentions: dict[int, list[EntityMention]] | None = None
+    query_of: dict[int, int] | None = None  # retrieved id -> query id; None without retrieval
+    graph: sentgraph_mod.SentenceGraph | None = None
+    graph_stats: dict | None = None
+    selection: dict | None = None
+    samples: list | None = None
+    stats: PipelineStats | None = None
+
+
+def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
+    if query_of is not None:
+        records = ({"sentence_id": r, "query_sentence_id": q} for r, q in sorted(query_of.items()))
+        write_jsonl(records, path)
+    elif os.path.exists(path):
+        os.remove(path)  # a graph built without retrieval must not keep an earlier provenance
+
+
+def _read_retrieved(state: PipelineState, path: str) -> dict[int, int] | None:
+    if not os.path.exists(path):
+        return None
+    return {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path)}
+
+
+# field of PipelineState -> (file in the output directory, writer(value, path),
+# reader(state, path)); a reader may use the fields read before it. The lambdas
+# look functions up at call time, so wrappers installed on them see every call.
+ARTIFACTS = {
+    "documents": (
+        "documents.jsonl", lambda v, p: write_documents(v, p), lambda st, p: read_documents(p)
+    ),
+    "sentences": (
+        "sentences.jsonl", lambda v, p: write_sentences(v, p), lambda st, p: read_sentences(p)
+    ),
+    "mentions": (
+        "mentions.jsonl",
+        lambda v, p: write_mentions(v, p),
+        lambda st, p: read_mentions(p, st.sentences),
+    ),
+    "query_of": ("retrieved.jsonl", _write_retrieved, _read_retrieved),
+    "graph": (
+        "postings.jsonl",
+        lambda v, p: sentgraph_mod.write_postings_dump(v, p),
+        lambda st, p: sentgraph_mod.read_postings_dump(p, st.graph_stats["nodes"]),
+    ),
+    "graph_stats": (
+        "graph_stats.json", lambda v, p: _write_json(v, p, indent=2), lambda st, p: _read_json(p)
+    ),
+    "selection": ("selection.json", _write_json, lambda st, p: _read_json(p)),
+    "samples": ("samples.jsonl", lambda v, p: qgen_mod.write_samples_jsonl(v, p), None),
+    # also writes timings.json
+    "stats": ("stats.json", lambda v, p: write_stats_files(v, os.path.dirname(p)), None),
+}
+
+
+def load_artifacts(out_dir: str, names: tuple[str, ...]) -> PipelineState:
+    state = PipelineState()
+    for name in names:
+        file_name, _, read = ARTIFACTS[name]
+        setattr(state, name, read(state, os.path.join(out_dir, file_name)))
+    return state
+
+
+def save_artifacts(state: PipelineState, out_dir: str, names) -> None:
+    for name in names:
+        file_name, write, _ = ARTIFACTS[name]
+        write(getattr(state, name), os.path.join(out_dir, file_name))
+
+
+def _ingest_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
+    state.documents, state.sentences = clock.run(
+        "ingest",
+        ingest_and_segment,
+        config,
+        config.input_paths,
+        config.input_format,
+        config.dedup_contexts,
+    )
+    return f"ingested {len(state.documents)} documents, {len(state.sentences)} sentences"
+
+
+def _graph_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
+    # Rebuilding from the ingested sentences keeps this stage idempotent.
+    sentences = [s for s in state.sentences if s.origin == corpus_mod.ORIGIN_CORPUS]
+    mentions = clock.run("recognize", entities_mod.recognize, sentences, config.recognizer_config())
+    query_of = None
     if config.retrieval_enabled:
         sentences, mentions, query_of = clock.run(
             "retrieve", stage_retrieve, config, sentences, mentions
         )
-
     graph = clock.run("build_graph", stage_build_graph, config, sentences, mentions)
-    result = clock.run(
-        "dominating_set",
-        domset_mod.approx_dominating_set,
-        graph,
-        config.degree_mode,
+    state.sentences, state.mentions, state.query_of, state.graph = (
+        sentences, mentions, query_of, graph
     )
-    doc_map = {d.doc_id: d for d in documents}
-    samples = clock.run(
+    stats = state.graph_stats = graph.stats().__dict__
+    return f"graph: {stats['nodes']} nodes, {stats['edges']} edges, {stats['entities']} entities"
+
+
+def _select_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
+    result = clock.run(
+        "dominating_set", domset_mod.approx_dominating_set, state.graph, config.degree_mode
+    )
+    state.selection = domset_mod.export_result(result)
+    return f"selected {state.selection['size']} of {state.graph.node_count} sentences"
+
+
+def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
+    state.samples = clock.run(
         "generate",
         stage_generate,
         config,
-        result.selected,
-        sentences,
-        mentions,
-        doc_map,
-        query_of,
+        state.selection["selected"],
+        state.sentences,
+        state.mentions,
+        {d.doc_id: d for d in state.documents},
+        state.query_of or {},
     )
+    selection, graph_stats = state.selection, state.graph_stats
+    state.stats = PipelineStats(
+        nodes=graph_stats["nodes"],
+        edges=graph_stats["edges"],
+        dominating_set_size=selection["size"],
+        training_samples=len(state.samples),
+        entities=graph_stats["entities"],
+        max_degree=selection["max_degree"],
+        bound=selection["bound"],
+        timings_ms=clock.timings_ms,  # shared, so later stages still land in timings.json
+    )
+    return f"wrote {len(state.samples)} samples"
+
+
+class Stage(NamedTuple):
+    help: str
+    reads: tuple[str, ...]  # ARTIFACTS loaded from the output directory, in order
+    body: Callable  # (config, clock, state) -> summary line; times itself on the clock
+    writes: tuple[str, ...]  # ARTIFACTS the stage produces
+
+
+STAGES = {
+    "ingest": Stage("ingest and segment the corpus", (), _ingest_body, ("documents", "sentences")),
+    "graph": Stage(
+        "recognize entities, retrieve support sentences, build the graph",
+        ("sentences",),
+        _graph_body,
+        ("sentences", "mentions", "query_of", "graph", "graph_stats"),
+    ),
+    "select": Stage(
+        "compute the dominating set over a built graph",
+        ("graph_stats", "graph"),
+        _select_body,
+        ("selection",),
+    ),
+    "generate": Stage(
+        "assemble training samples from a selection",
+        ("documents", "sentences", "mentions", "query_of", "graph_stats", "selection"),
+        _generate_body,
+        ("samples", "stats"),
+    ),
+}
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineStats:
+    """Run every stage in memory, then write all artifacts into config.output_dir."""
+    config.validate()
+    out_dir = config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
+    clock = StageClock()
+    state = PipelineState()
+    for stage in STAGES.values():
+        stage.body(config, clock, state)
 
     def write_artifacts():
-        write_documents(documents, os.path.join(out_dir, "documents.jsonl"))
-        write_sentences(sentences, os.path.join(out_dir, "sentences.jsonl"))
-        write_mentions(mentions, os.path.join(out_dir, "mentions.jsonl"))
-        if config.retrieval_enabled:
-            write_jsonl(
-                (
-                    {"sentence_id": rid, "query_sentence_id": qid}
-                    for rid, qid in sorted(query_of.items())
-                ),
-                os.path.join(out_dir, "retrieved.jsonl"),
-            )
-        sentgraph_mod.write_postings_dump(graph, os.path.join(out_dir, "postings.jsonl"))
-        graph_stats = graph.stats()
-        with open(os.path.join(out_dir, "graph_stats.json"), "w", encoding="utf-8") as fh:
-            json.dump(graph_stats.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, "selection.json"), "w", encoding="utf-8") as fh:
-            json.dump(domset_mod.export_result(result), fh, sort_keys=True)
-            fh.write("\n")
-        qgen_mod.write_samples_jsonl(samples, os.path.join(out_dir, "samples.jsonl"))
+        # sentences.jsonl is written once, with the graph stage's extended table
+        save_artifacts(state, out_dir, [name for name in ARTIFACTS if name != "stats"])
         write_config_echo(config, os.path.join(out_dir, CONFIG_ECHO_NAME))
 
     clock.run("write", write_artifacts)
-
-    stats = PipelineStats(
-        nodes=graph.node_count,
-        edges=graph.edge_count(),
-        dominating_set_size=len(result.selected),
-        training_samples=len(samples),
-        entities=len(graph.postings),
-        max_degree=result.max_degree,
-        bound=domset_mod.approximation_bound(result.max_degree),
-        timings_ms=clock.timings_ms,
-    )
-    write_stats_files(stats, out_dir)
-    return stats
+    # last, so that timings.json includes the write stage
+    save_artifacts(state, out_dir, ("stats",))
+    return state.stats
 
 
 def write_stats_files(stats: PipelineStats, out_dir: str) -> None:
@@ -690,22 +810,16 @@ def write_stats_files(stats: PipelineStats, out_dir: str) -> None:
     timings.json so reruns stay byte-identical."""
     payload = stats.to_json_dict()
     timings = payload.pop("timings_ms")
-    with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-    with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as handle:
-        json.dump({"timings_ms": timings}, handle, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, os.path.join(out_dir, "stats.json"))
+    _write_json({"timings_ms": timings}, os.path.join(out_dir, "timings.json"))
 
 
 def read_stats(out_dir: str) -> PipelineStats:
-    with open(os.path.join(out_dir, "stats.json"), "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(os.path.join(out_dir, "stats.json"))
     timings = {}
     timings_path = os.path.join(out_dir, "timings.json")
     if os.path.exists(timings_path):
-        with open(timings_path, "r", encoding="utf-8") as handle:
-            timings = json.load(handle).get("timings_ms", {})
+        timings = _read_json(timings_path).get("timings_ms", {})
     return PipelineStats(
         nodes=payload["nodes"],
         edges=payload["edges"],

@@ -12,7 +12,6 @@ query sentence verbatim.
 from __future__ import annotations
 
 import math
-import pickle
 import re
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .entities import EntityMention
 from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-_INDEX_MAGIC = b"MPIDX1\n"
 
 
 def tokenize(text: str) -> list[str]:
@@ -182,35 +179,3 @@ def retrieve_support_sentence(
         return candidate
     return None
 
-
-def save_index(index: Bm25Index, path: str) -> None:
-    """Persist an index as a versioned binary file."""
-    payload = {
-        "k1": index.k1,
-        "b": index.b,
-        "doc_freq": index.doc_freq,
-        "postings": index.postings,
-        "lengths": index.lengths,
-        "avg_len": index.avg_len,
-        "sentences": index.sentences,
-        "keys": index.keys,
-    }
-    with open(path, "wb") as handle:
-        handle.write(_INDEX_MAGIC)
-        pickle.dump(payload, handle, protocol=4)
-
-
-def load_index(path: str) -> Bm25Index:
-    with open(path, "rb") as handle:
-        magic = handle.read(len(_INDEX_MAGIC))
-        if magic != _INDEX_MAGIC:
-            raise ValidationError(f"{path} is not a recognized index file")
-        payload = pickle.load(handle)
-    index = Bm25Index(k1=payload["k1"], b=payload["b"])
-    index.doc_freq = payload["doc_freq"]
-    index.postings = payload["postings"]
-    index.lengths = payload["lengths"]
-    index.avg_len = payload["avg_len"]
-    index.sentences = payload["sentences"]
-    index.keys = payload["keys"]
-    return index

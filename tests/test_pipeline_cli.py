@@ -17,10 +17,26 @@ from minprompt.pipeline import (
     run_pipeline,
     stats_table,
     write_config_echo,
+    write_stats_files,
 )
 
 DOCS_DIR = os.path.join(FIXTURE_DIR, "docs")
 GAZETTEER = os.path.join(FIXTURE_DIR, "gazetteer.tsv")
+RETRIEVAL = {"retrieval_enabled": "true", "support_paths": DOCS_DIR}
+STAGE_COMMANDS = ("ingest", "graph", "select", "generate")
+# every file both `run` and a staged chain write (effective_config.cfg and
+# the non-deterministic timings.json left out)
+ARTIFACT_FILES = (
+    "documents.jsonl",
+    "sentences.jsonl",
+    "mentions.jsonl",
+    "retrieved.jsonl",
+    "postings.jsonl",
+    "graph_stats.json",
+    "selection.json",
+    "samples.jsonl",
+    "stats.json",
+)
 
 
 def fixture_config_text(out_dir: str, **overrides) -> str:
@@ -38,11 +54,21 @@ def fixture_config_text(out_dir: str, **overrides) -> str:
     return "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n"
 
 
-def write_fixture_config(tmp_path, **overrides) -> str:
-    out_dir = str(tmp_path / "out")
-    path = tmp_path / "pipeline.cfg"
-    path.write_text(fixture_config_text(out_dir, **overrides), encoding="utf-8")
+def write_fixture_config(tmp_path, name: str = "pipeline", out: str = "out", **overrides) -> str:
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(fixture_config_text(str(tmp_path / out), **overrides), encoding="utf-8")
     return str(path)
+
+
+def read_artifacts(out_dir) -> dict[str, bytes]:
+    """The bytes of each file of ARTIFACT_FILES present in out_dir."""
+    found = {}
+    for name in ARTIFACT_FILES:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                found[name] = handle.read()
+    return found
 
 
 class TestConfig:
@@ -209,14 +235,12 @@ class TestStatsTable:
             assert label in table
 
     def test_stats_report_writes_and_formats(self, tmp_path):
-        from minprompt.pipeline import stats_report
-
         stats = PipelineStats(
             nodes=4, edges=4, dominating_set_size=1, training_samples=3,
             timings_ms={"ingest": 5},
         )
-        table = stats_report(stats, str(tmp_path))
-        assert "# dominating set" in table
+        write_stats_files(stats, str(tmp_path))
+        assert "# dominating set" in stats_table(stats)
         payload = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
         assert payload["dominating_set"] == 1
         timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
@@ -256,47 +280,40 @@ class TestCli:
         assert main(["stats", "--out", config.output_dir]) == 0
         assert "# training samples" in capsys.readouterr().out
 
-    def test_stage_chain_matches_full_run(self, tmp_path, capsys):
-        path = write_fixture_config(tmp_path)
-        for command in ("ingest", "graph", "select", "generate"):
-            assert main([command, "--config", path]) == 0, command
-        config = load_config(path)
-        staged = open(os.path.join(config.output_dir, "samples.jsonl"), "rb").read()
+    @pytest.mark.parametrize("retrieval", [False, True], ids=["no_retrieval", "retrieval"])
+    def test_stage_chain_matches_full_run(self, tmp_path, capsys, retrieval):
+        overrides = RETRIEVAL if retrieval else {}
+        staged_cfg = write_fixture_config(tmp_path, "staged", "out_staged", **overrides)
+        for command in STAGE_COMMANDS:
+            assert main([command, "--config", staged_cfg]) == 0, command
+        full_cfg = write_fixture_config(tmp_path, "full", "out_full", **overrides)
+        assert main(["run", "--config", full_cfg]) == 0
 
-        path2 = tmp_path / "run2.cfg"
-        path2.write_text(
-            fixture_config_text(str(tmp_path / "out_full")), encoding="utf-8"
-        )
-        assert main(["run", "--config", str(path2)]) == 0
-        full = open(os.path.join(str(tmp_path / "out_full"), "samples.jsonl"), "rb").read()
-        assert staged == full
+        staged = read_artifacts(tmp_path / "out_staged")
+        full = read_artifacts(tmp_path / "out_full")
+        expected = set(ARTIFACT_FILES) - (set() if retrieval else {"retrieved.jsonl"})
+        assert set(full) == expected
+        assert set(staged) == expected
+        for name in sorted(expected):
+            assert staged[name] == full[name], name
+        capsys.readouterr()
+        assert main(["stats", "--out", str(tmp_path / "out_staged")]) == 0
+        assert "# training samples" in capsys.readouterr().out
 
-    def test_stage_chain_with_retrieval_matches_full_run(self, tmp_path):
-        staged_cfg = tmp_path / "staged.cfg"
-        staged_cfg.write_text(
-            fixture_config_text(
-                str(tmp_path / "out_staged"),
-                retrieval_enabled="true",
-                support_paths=DOCS_DIR,
-            ),
-            encoding="utf-8",
-        )
-        for command in ("ingest", "graph", "select", "generate"):
-            assert main([command, "--config", str(staged_cfg)]) == 0, command
-        staged = open(os.path.join(str(tmp_path / "out_staged"), "samples.jsonl"), "rb").read()
+    def test_graph_without_retrieval_removes_stale_provenance(self, tmp_path):
+        staged_cfg = write_fixture_config(tmp_path, "staged", "out_staged", **RETRIEVAL)
+        for command in STAGE_COMMANDS:
+            assert main([command, "--config", staged_cfg]) == 0, command
+        retrieved = tmp_path / "out_staged" / "retrieved.jsonl"
+        assert retrieved.exists()
+        for command in ("graph", "select", "generate"):
+            argv = [command, "--config", staged_cfg, "--retrieval-enabled", "false"]
+            assert main(argv) == 0, command
+        assert not retrieved.exists()
 
-        full_cfg = tmp_path / "full.cfg"
-        full_cfg.write_text(
-            fixture_config_text(
-                str(tmp_path / "out_full"),
-                retrieval_enabled="true",
-                support_paths=DOCS_DIR,
-            ),
-            encoding="utf-8",
-        )
-        assert main(["run", "--config", str(full_cfg)]) == 0
-        full = open(os.path.join(str(tmp_path / "out_full"), "samples.jsonl"), "rb").read()
-        assert staged == full
+        full_cfg = write_fixture_config(tmp_path, "full", "out_full")
+        assert main(["run", "--config", full_cfg]) == 0
+        assert read_artifacts(tmp_path / "out_staged") == read_artifacts(tmp_path / "out_full")
 
     def test_seed_and_out_overrides(self, tmp_path):
         path = write_fixture_config(tmp_path)
@@ -340,6 +357,12 @@ class TestCli:
         cfg = tmp_path / "p.cfg"
         cfg.write_text("lambda_weight = -1\ninput_paths = x\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_every_stage_command_validates_config(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, lambda_weight="0")
+        for command in STAGE_COMMANDS:
+            assert main([command, "--config", path]) == 2, command
+            assert "lambda_weight" in capsys.readouterr().err
 
     def test_eval_command(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"

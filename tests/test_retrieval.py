@@ -12,10 +12,8 @@ from minprompt.retrieval import (
     RetrievalConstraints,
     bm25_score,
     build_index,
-    load_index,
     rank,
     retrieve_support_sentence,
-    save_index,
     tokenize,
 )
 
@@ -267,27 +265,3 @@ class TestRetrieve:
         after = retrieve_support_sentence(bigger, query, answer, {"lakers"})
         assert after is not None and before is not None
         assert after.text == before.text
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        sentences = corpus(["the lakers won", "boston celtics lost"])
-        mentions = {
-            0: [mention_at("the lakers won", "lakers", "ORG")],
-            1: [mention_at("boston celtics lost", "celtics", "ORG")],
-        }
-        index = build_index(sentences, mentions)
-        path = tmp_path / "support.idx"
-        save_index(index, str(path))
-        assert path.read_bytes().startswith(b"MPIDX1\n")
-        loaded = load_index(str(path))
-        assert loaded.doc_freq == index.doc_freq
-        assert loaded.postings == index.postings
-        assert loaded.keys == index.keys
-        assert bm25_score(loaded, ["lakers"], 0) == bm25_score(index, ["lakers"], 0)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.idx"
-        path.write_bytes(b"NOTANIDX" + b"\x00" * 16)
-        with pytest.raises(ValidationError, match="not a recognized index"):
-            load_index(str(path))
