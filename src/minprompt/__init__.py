@@ -48,7 +48,6 @@ from .qgen import (
 from .retrieval import (
     Bm25Index,
     RetrievalConstraints,
-    bm25_score,
     build_index,
     retrieve_support_sentence,
     tokenize,

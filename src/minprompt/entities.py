@@ -9,9 +9,11 @@ overlap-resolution step, so they emit mentions with identical invariants.
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -90,7 +92,37 @@ class RecognizerConfig:
             raise ValidationError("service mode requires service_endpoint")
 
 
-def load_gazetteers(paths: tuple[str, ...] | list[str]) -> dict[str, str]:
+class Gazetteer(Mapping):
+    """A read-only term -> entity type table, indexed for matching.
+
+    It compares equal to the plain dict of its terms. Each term that starts
+    with a word character sits in the bucket of its first `\\w+` token, so a
+    text is matched with one lookup per token start instead of one scan per
+    term; the few terms that start otherwise are scanned for.
+    """
+
+    def __init__(self, table: dict[str, str]):
+        self._types = dict(table)
+        self.buckets: dict[str, list[tuple[str, str]]] = {}
+        self.fallback: list[tuple[str, str]] = []
+        for term, etype in self._types.items():
+            first = _TOKEN_RUN_RE.match(term)
+            if first is None:
+                self.fallback.append((term, etype))
+            else:
+                self.buckets.setdefault(first.group(), []).append((term, etype))
+
+    def __getitem__(self, term: str) -> str:
+        return self._types[term]
+
+    def __iter__(self):
+        return iter(self._types)
+
+    def __len__(self) -> int:
+        return len(self._types)
+
+
+def load_gazetteers(paths: tuple[str, ...] | list[str]) -> Gazetteer:
     """Load term -> entity type tables (tab-separated, '#' comments).
 
     Later files and later lines win on duplicate terms.
@@ -111,7 +143,7 @@ def load_gazetteers(paths: tuple[str, ...] | list[str]) -> dict[str, str]:
                 if not term:
                     raise ValidationError(f"{path}:{lineno}: empty term")
                 table[term] = etype
-    return table
+    return Gazetteer(table)
 
 
 # Candidate sources, in priority order for identical spans.
@@ -139,6 +171,9 @@ _PERCENT_RE = re.compile(r"(?<![\w.])\d+(?:\.\d+)?%")
 _MONEY_RE = re.compile(r"[$£€]\d(?:[\d,]*\d)?(?:\.\d+)?")
 _INTEGER_RE = re.compile(r"(?<![\w.,])\d(?:[\d,]*\d)?(?![\w%])(?!\.\d)(?!,\d)")
 _WORD_RE = re.compile(r"\w+(?:['’\-]\w+)*")
+# A \w character is exactly one that is alphanumeric or '_', the characters
+# _on_token_boundary will not let a match touch.
+_TOKEN_RUN_RE = re.compile(r"\w+")
 
 # Sub-rank within _SRC_PATTERN; decides ties on identical spans (a 4-digit
 # year is a DATE, not a CARDINAL).
@@ -159,8 +194,17 @@ def _on_token_boundary(text: str, start: int, end: int) -> bool:
     return True
 
 
-def _gazetteer_candidates(text: str, gazetteers: dict[str, str]):
-    for term, etype in gazetteers.items():
+def _gazetteer_candidates(text: str, gazetteer: Gazetteer):
+    # A term that starts with a word character can only match where a \w+
+    # run starts, and only if that run is the term's first token.
+    buckets = gazetteer.buckets
+    for run in _TOKEN_RUN_RE.finditer(text):
+        pos = run.start()
+        for term, etype in buckets.get(run.group(), ()):
+            end = pos + len(term)
+            if text.startswith(term, pos) and _on_token_boundary(text, pos, end):
+                yield pos, end, etype, (_SRC_GAZETTEER, 0)
+    for term, etype in gazetteer.fallback:
         pos = text.find(term)
         while pos != -1:
             end = pos + len(term)
@@ -203,20 +247,35 @@ def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]]):
     """Longest span first, then leftmost, then source priority."""
     ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
     accepted: list[tuple[int, int, str]] = []
+    # The non-empty accepted spans are disjoint, so sorted by start they are
+    # sorted by end too. Empty spans come last and never block a span.
+    starts: list[int] = []
+    ends: list[int] = []
     for start, end, etype, _rank in ordered:
-        if any(start < e and s < end for s, e, _ in accepted):
+        # spans before i end at or before `start`; spans after i start no
+        # earlier than span i, so span i overlaps if any does
+        i = bisect.bisect_right(ends, start)
+        if i < len(ends) and starts[i] < end:
             continue
         accepted.append((start, end, etype))
+        if start < end:
+            starts.insert(i, start)
+            ends.insert(i, end)
     accepted.sort()
     return accepted
 
 
 def recognize_builtin(
-    sentence: Sentence, gazetteers: dict[str, str] | None = None
+    sentence: Sentence, gazetteers: Mapping[str, str] | None = None
 ) -> list[EntityMention]:
-    """Deterministic rule-based recognition over one sentence."""
+    """Deterministic rule-based recognition over one sentence.
+
+    Pass the Gazetteer from load_gazetteers when recognizing many sentences;
+    a plain dict is indexed again on every call.
+    """
     text = sentence.text
-    gazetteers = gazetteers or {}
+    if not isinstance(gazetteers, Gazetteer):
+        gazetteers = Gazetteer(gazetteers or {})
     candidates = list(_gazetteer_candidates(text, gazetteers))
     candidates.extend(_pattern_candidates(text))
     candidates.extend(_capitalized_run_candidates(text))
@@ -321,10 +380,10 @@ def recognize_service(
 ) -> dict[int, list[EntityMention]]:
     """POST sentence batches to an HTTP recognizer and validate the replies.
 
-    Each batch is retried three times with exponential backoff before the
-    whole pipeline is failed.
+    A batch gets three attempts with exponential backoff between them before
+    the whole pipeline is failed; a 4xx reply fails it at once. A reply may
+    only name sentences of its own batch.
     """
-    by_id = {s.sentence_id: s for s in sentences}
     batches = [
         sentences[i : i + batch_size] for i in range(0, len(sentences), batch_size)
     ]
@@ -337,6 +396,12 @@ def recognize_service(
                 time.sleep(retry_base_delay * (2 ** (attempt - 1)))
             try:
                 response = requests.post(endpoint, json=payload, timeout=timeout)
+                if 400 <= response.status_code < 500:
+                    # the request itself was refused; sending it again cannot help
+                    raise PipelineError(
+                        f"recognizer service {endpoint} rejected a batch: "
+                        f"HTTP {response.status_code}"
+                    )
                 response.raise_for_status()
                 body = response.json()
                 break
@@ -357,10 +422,11 @@ def recognize_service(
         workers = max(1, min(max_in_flight, len(batches)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fetch, batches))
-        for batch_index, records in enumerate(results):
+        for batch_index, (batch, records) in enumerate(zip(batches, results)):
+            batch_by_id = {s.sentence_id: s for s in batch}
             for record_index, record in enumerate(records):
                 where = f"service batch {batch_index} record {record_index}"
-                sid, mention = _validate_record(record, by_id, where)
+                sid, mention = _validate_record(record, batch_by_id, where)
                 per_sentence[sid].append(mention)
     return _finalize(per_sentence)
 

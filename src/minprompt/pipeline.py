@@ -41,7 +41,7 @@ from . import retrieval as retrieval_mod
 from . import sentgraph as sentgraph_mod
 from .corpus import Document, Sentence
 from .entities import EntityMention, RecognizerConfig
-from .errors import StageError, ValidationError
+from .errors import PipelineError, StageError, ValidationError
 from .qgen import RetrievedContext, WhPriors
 
 STYLE_CHOICES = ("wh", "cloze", "both")
@@ -521,16 +521,24 @@ def stage_retrieve(
     seen_support: dict[tuple[str, tuple[int, int]], int] = {}
     for sentence in sentences:
         sentence_mentions = mentions.get(sentence.sentence_id, ())
+        if not sentence_mentions:
+            continue
         query_keys = frozenset(m.normalized_key for m in sentence_mentions)
+        context_entities = frozenset(doc_entities[sentence.doc_id])
+        # the ranking depends on the sentence only, so every mention shares it
+        ranking = retrieval_mod.rank(
+            index, retrieval_mod.tokenize(sentence.text), limit=config.retrieval_top_k
+        )
         for mention in sorted(sentence_mentions, key=lambda m: m.char_span):
             hit = retrieval_mod.retrieve_support_sentence(
                 index,
                 sentence,
                 mention,
-                context_entities=frozenset(doc_entities[sentence.doc_id]),
+                context_entities=context_entities,
                 constraints=constraints,
                 query_keys=query_keys,
                 top_k=config.retrieval_top_k,
+                ranking=ranking,
             )
             if hit is None:
                 continue
@@ -666,7 +674,9 @@ ARTIFACTS = {
     "graph": (
         "postings.jsonl",
         lambda v, p: sentgraph_mod.write_postings_dump(v, p),
-        lambda st, p: sentgraph_mod.read_postings_dump(p, st.graph_stats["nodes"]),
+        lambda st, p: sentgraph_mod.read_postings_dump(
+            p, *_artifact_fields(st, "graph_stats", "nodes")
+        ),
     ),
     "graph_stats": (
         "graph_stats.json", lambda v, p: _write_json(v, p, indent=2), lambda st, p: _read_json(p)
@@ -679,11 +689,30 @@ ARTIFACTS = {
 
 
 def load_artifacts(out_dir: str, names: tuple[str, ...]) -> PipelineState:
+    """Read the named artifacts; a malformed one is a PipelineError naming its file."""
     state = PipelineState()
     for name in names:
         file_name, _, read = ARTIFACTS[name]
-        setattr(state, name, read(state, os.path.join(out_dir, file_name)))
+        try:
+            value = read(state, os.path.join(out_dir, file_name))
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise PipelineError(
+                f"{file_name}: malformed artifact ({type(exc).__name__}: {exc})"
+            ) from exc
+        setattr(state, name, value)
     return state
+
+
+def _artifact_fields(state: PipelineState, name: str, *keys: str) -> list:
+    """The values of `keys` in the JSON object artifact `name`; a missing key
+    is a PipelineError naming the artifact's file."""
+    value = getattr(state, name)
+    missing = [key for key in keys if not isinstance(value, dict) or key not in value]
+    if missing:
+        raise PipelineError(
+            f"{ARTIFACTS[name][0]}: malformed artifact, missing {', '.join(map(repr, missing))}"
+        )
+    return [value[key] for key in keys]
 
 
 def save_artifacts(state: PipelineState, out_dir: str, names) -> None:
@@ -730,25 +759,28 @@ def _select_body(config: PipelineConfig, clock: StageClock, state: PipelineState
 
 
 def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
+    nodes, edges, entities = _artifact_fields(state, "graph_stats", "nodes", "edges", "entities")
+    selected, size, max_degree, bound = _artifact_fields(
+        state, "selection", "selected", "size", "max_degree", "bound"
+    )
     state.samples = clock.run(
         "generate",
         stage_generate,
         config,
-        state.selection["selected"],
+        selected,
         state.sentences,
         state.mentions,
         {d.doc_id: d for d in state.documents},
         state.query_of or {},
     )
-    selection, graph_stats = state.selection, state.graph_stats
     state.stats = PipelineStats(
-        nodes=graph_stats["nodes"],
-        edges=graph_stats["edges"],
-        dominating_set_size=selection["size"],
+        nodes=nodes,
+        edges=edges,
+        dominating_set_size=size,
         training_samples=len(state.samples),
-        entities=graph_stats["entities"],
-        max_degree=selection["max_degree"],
-        bound=selection["bound"],
+        entities=entities,
+        max_degree=max_degree,
+        bound=bound,
         timings_ms=clock.timings_ms,  # shared, so later stages still land in timings.json
     )
     return f"wrote {len(state.samples)} samples"

@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Sentence
 from .entities import EntityMention
 from .errors import ValidationError
@@ -41,30 +43,37 @@ class RetrievalConstraints:
 class Bm25Index:
     """Inverted index over support sentences, with per-sentence entity keys.
 
-    Sentences that tokenize to nothing are left unindexed and can never be
-    retrieved.
+    The postings are stored CSR-style: `terms` maps a term to its row, and
+    row r's postings are posting_ids / posting_weights[indptr[r]:indptr[r + 1]],
+    the ascending ids of the sentences holding the term and the term's BM25
+    weight in each. Sentences that tokenize to nothing are left unindexed
+    (length 0) and can never be retrieved.
     """
 
     def __init__(self, k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        self.doc_freq: dict[str, int] = {}
-        self.postings: dict[str, list[tuple[int, int]]] = {}
-        self.lengths: dict[int, int] = {}
-        self.avg_len: float = 0.0
         self.sentences: list[Sentence] = []
         self.keys: dict[int, frozenset[str]] = {}
+        self.lengths = np.zeros(0, dtype=np.int64)  # tokens per sentence id
+        self.indexed_ids = np.zeros(0, dtype=np.int64)  # ids with length > 0, ascending
+        self.avg_len: float = 0.0
+        self.terms: dict[str, int] = {}
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.posting_ids = np.zeros(0, dtype=np.int64)
+        self.posting_weights = np.zeros(0, dtype=np.float64)
 
     @property
     def indexed_count(self) -> int:
-        return len(self.lengths)
+        return int(self.indexed_ids.size)
 
-    def idf(self, term: str) -> float:
-        df = self.doc_freq.get(term)
-        if df is None:
-            return 0.0
-        n = self.indexed_count
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sentence ids, BM25 weights) of the term; empty when it is absent."""
+        row = self.terms.get(term)
+        if row is None:
+            return self.posting_ids[:0], self.posting_weights[:0]
+        lo, hi = self.indptr[row], self.indptr[row + 1]
+        return self.posting_ids[lo:hi], self.posting_weights[lo:hi]
 
 
 def build_index(
@@ -73,11 +82,20 @@ def build_index(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> Bm25Index:
-    """Index sentences (ids must be dense 0..N-1) with their entity keys."""
+    """Index sentences (ids must be dense 0..N-1) with their entity keys.
+
+    A posting's weight is idf * tf * (k1 + 1) / (tf + norm), with
+    norm = k1 * (1 - b + b * length / avg_len), evaluated in that order so
+    that a query's score is the same float a per-posting loop would add up.
+    """
     index = Bm25Index(k1=k1, b=b)
     index.sentences = list(sentences)
     mentions = mentions or {}
-    total = 0
+    lengths: list[int] = []
+    rows: list[int] = []  # one entry per (term, sentence) posting
+    ids: list[int] = []
+    tfs: list[int] = []
+    terms = index.terms
     for sentence in sentences:
         sid = sentence.sentence_id
         if sid != len(index.keys):
@@ -86,37 +104,36 @@ def build_index(
             m.normalized_key for m in mentions.get(sid, ())
         )
         tokens = tokenize(sentence.text)
-        if not tokens:
-            continue
-        index.lengths[sid] = len(tokens)
-        total += len(tokens)
+        lengths.append(len(tokens))
         counts: dict[str, int] = {}
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
-        for term, tf in sorted(counts.items()):
-            index.postings.setdefault(term, []).append((sid, tf))
-            index.doc_freq[term] = index.doc_freq.get(term, 0) + 1
-    index.avg_len = total / len(index.lengths) if index.lengths else 0.0
+        for term, tf in counts.items():
+            rows.append(terms.setdefault(term, len(terms)))
+            ids.append(sid)
+            tfs.append(tf)
+    index.lengths = np.array(lengths, dtype=np.int64)
+    index.indexed_ids = np.flatnonzero(index.lengths)
+    n = index.indexed_count
+    index.avg_len = sum(lengths) / n if n else 0.0
+    if not rows:
+        return index
+    # Sentences were visited in id order, so a stable sort by row keeps each
+    # row's ids ascending.
+    row_array = np.array(rows, dtype=np.int64)
+    order = np.argsort(row_array, kind="stable")
+    doc_freq = np.bincount(row_array, minlength=len(terms))
+    index.indptr = np.concatenate(([0], np.cumsum(doc_freq)))
+    index.posting_ids = np.array(ids, dtype=np.int64)[order]
+    tf = np.array(tfs, dtype=np.float64)[order]
+    idf = np.array(
+        [math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()]
+    )
+    norm = k1 * (1.0 - b + b * index.lengths / index.avg_len)
+    index.posting_weights = (
+        idf[row_array[order]] * (tf * (k1 + 1.0)) / (tf + norm[index.posting_ids])
+    )
     return index
-
-
-def bm25_score(index: Bm25Index, query_tokens: list[str], sentence_id: int) -> float:
-    """Score one indexed sentence against the query tokens."""
-    length = index.lengths.get(sentence_id)
-    if length is None:
-        raise ValidationError(f"sentence {sentence_id} is not indexed")
-    norm = index.k1 * (1.0 - index.b + index.b * length / index.avg_len)
-    score = 0.0
-    for term in query_tokens:
-        tf = 0
-        for sid, freq in index.postings.get(term, ()):
-            if sid == sentence_id:
-                tf = freq
-                break
-        if tf == 0:
-            continue
-        score += index.idf(term) * (tf * (index.k1 + 1.0)) / (tf + norm)
-    return score
 
 
 def rank(
@@ -125,27 +142,32 @@ def rank(
     """All indexed sentences by descending score, ties by ascending id.
 
     Zero-score sentences follow the scored ones in ascending id order, so
-    the ordering equals a full sort by (-score, id).
+    the ordering equals a full sort by (-score, id). Each query token adds
+    its weights in query order, duplicates included.
     """
-    scores: dict[int, float] = {}
+    scores = np.zeros(len(index.sentences))
+    touched = np.zeros(len(index.sentences), dtype=bool)
     for term in query_tokens:
-        idf = index.idf(term)
-        if idf == 0.0:
-            continue
-        for sid, tf in index.postings.get(term, ()):
-            norm = index.k1 * (
-                1.0 - index.b + index.b * index.lengths[sid] / index.avg_len
-            )
-            scores[sid] = scores.get(sid, 0.0) + idf * (tf * (index.k1 + 1.0)) / (
-                tf + norm
-            )
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        ids, weights = index.postings(term)
+        scores[ids] += weights
+        touched[ids] = True
+    scored_ids = np.flatnonzero(touched)  # ascending, so stable sorts break ties by id
+    negated = -scores[scored_ids]
+    if limit is not None and limit < scored_ids.size:
+        # only ids scoring at least the limit-th best can make the cut
+        cutoff = np.partition(negated, limit - 1)[limit - 1]
+        keep = np.flatnonzero(negated <= cutoff)
+        scored_ids, negated = scored_ids[keep], negated[keep]
+    order = np.argsort(negated, kind="stable")
+    if limit is not None:
+        order = order[:limit]
+    ordered = list(zip(scored_ids[order].tolist(), (-negated[order]).tolist()))
     if limit is None or len(ordered) < limit:
-        tail = [
-            (sid, 0.0) for sid in sorted(index.lengths) if sid not in scores
-        ]
-        ordered.extend(tail)
-    return ordered if limit is None else ordered[:limit]
+        tail = index.indexed_ids[~touched[index.indexed_ids]]
+        if limit is not None:
+            tail = tail[: limit - len(ordered)]
+        ordered.extend((sid, 0.0) for sid in tail.tolist())
+    return ordered
 
 
 def retrieve_support_sentence(
@@ -156,15 +178,20 @@ def retrieve_support_sentence(
     constraints: RetrievalConstraints = RetrievalConstraints(),
     query_keys: frozenset[str] | set[str] = frozenset(),
     top_k: int = 50,
+    ranking: list[tuple[int, float]] | None = None,
 ) -> Sentence | None:
     """Best-ranked support sentence satisfying every enabled constraint.
 
-    Only the top_k ranked candidates are considered. Returns None when no
-    candidate qualifies; absence is a value, not an error.
+    Only the top_k ranked candidates are considered. `ranking` is
+    rank(index, tokenize(query_sentence.text), limit=top_k) when the caller
+    already has it: it depends on the query sentence only, not on the
+    answer. Returns None when no candidate qualifies; absence is a value,
+    not an error.
     """
-    query_tokens = tokenize(query_sentence.text)
+    if ranking is None:
+        ranking = rank(index, tokenize(query_sentence.text), limit=top_k)
     shared_pool = frozenset(query_keys) | frozenset(context_entities)
-    for sid, _score in rank(index, query_tokens, limit=top_k):
+    for sid, _score in ranking[:top_k]:
         candidate = index.sentences[sid]
         keys = index.keys[sid]
         if constraints.require_answer_entity and answer.normalized_key not in keys:

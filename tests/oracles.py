@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 import random
 
+from minprompt.entities import _SRC_GAZETTEER, _on_token_boundary
+from minprompt.retrieval import tokenize
+
 
 def matrix_from_postings(n: int, postings: dict[str, list[int]]) -> list[list[bool]]:
     adj = [[False] * n for _ in range(n)]
@@ -122,6 +125,112 @@ def naive_bm25_scores(
             score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * len(tokens) / avg_len))
         scores.append(score)
     return scores
+
+
+class DictBm25Index:
+    """BM25 postings as plain dicts, built the way the index was before it
+    moved to numpy arrays: term -> [(sentence id, tf)], term -> df, and
+    sentence id -> token count for the sentences that have tokens."""
+
+    def __init__(self, texts: list[str], k1: float = 1.2, b: float = 0.75):
+        self.k1 = k1
+        self.b = b
+        self.doc_freq: dict[str, int] = {}
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        self.lengths: dict[int, int] = {}
+        total = 0
+        for sid, text in enumerate(texts):
+            tokens = tokenize(text)
+            if not tokens:
+                continue
+            self.lengths[sid] = len(tokens)
+            total += len(tokens)
+            counts: dict[str, int] = {}
+            for token in tokens:
+                counts[token] = counts.get(token, 0) + 1
+            for term, tf in sorted(counts.items()):
+                self.postings.setdefault(term, []).append((sid, tf))
+                self.doc_freq[term] = self.doc_freq.get(term, 0) + 1
+        self.avg_len = total / len(self.lengths) if self.lengths else 0.0
+
+    @classmethod
+    def like(cls, index) -> "DictBm25Index":
+        """The dict form of a retrieval.Bm25Index, from its sentence texts."""
+        return cls([s.text for s in index.sentences], index.k1, index.b)
+
+    def idf(self, term: str) -> float:
+        df = self.doc_freq.get(term)
+        if df is None:
+            return 0.0
+        n = len(self.lengths)
+        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def dict_bm25_score(index: DictBm25Index, query_tokens: list[str], sentence_id: int) -> float:
+    """Score one indexed sentence against the query tokens."""
+    length = index.lengths.get(sentence_id)
+    if length is None:
+        raise KeyError(f"sentence {sentence_id} is not indexed")
+    norm = index.k1 * (1.0 - index.b + index.b * length / index.avg_len)
+    score = 0.0
+    for term in query_tokens:
+        tf = 0
+        for sid, freq in index.postings.get(term, ()):
+            if sid == sentence_id:
+                tf = freq
+                break
+        if tf == 0:
+            continue
+        score += index.idf(term) * (tf * (index.k1 + 1.0)) / (tf + norm)
+    return score
+
+
+def dict_rank(
+    index: DictBm25Index, query_tokens: list[str], limit: int | None = None
+) -> list[tuple[int, float]]:
+    """retrieval.rank as a loop over dict postings and a full sort."""
+    scores: dict[int, float] = {}
+    for term in query_tokens:
+        idf = index.idf(term)
+        if idf == 0.0:
+            continue
+        for sid, tf in index.postings.get(term, ()):
+            norm = index.k1 * (
+                1.0 - index.b + index.b * index.lengths[sid] / index.avg_len
+            )
+            scores[sid] = scores.get(sid, 0.0) + idf * (tf * (index.k1 + 1.0)) / (
+                tf + norm
+            )
+    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    if limit is None or len(ordered) < limit:
+        tail = [
+            (sid, 0.0) for sid in sorted(index.lengths) if sid not in scores
+        ]
+        ordered.extend(tail)
+    return ordered if limit is None else ordered[:limit]
+
+
+def scan_gazetteer_candidates(text: str, gazetteers):
+    """entities._gazetteer_candidates as one str.find scan per term."""
+    for term, etype in gazetteers.items():
+        pos = text.find(term)
+        while pos != -1:
+            end = pos + len(term)
+            if _on_token_boundary(text, pos, end):
+                yield pos, end, etype, (_SRC_GAZETTEER, 0)
+            pos = text.find(term, pos + 1)
+
+
+def quadratic_resolve_overlaps(candidates):
+    """entities._resolve_overlaps, testing each span against every accepted one."""
+    ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
+    accepted: list[tuple[int, int, str]] = []
+    for start, end, etype, _rank in ordered:
+        if any(start < e and s < end for s, e, _ in accepted):
+            continue
+        accepted.append((start, end, etype))
+    accepted.sort()
+    return accepted
 
 
 def naive_token_f1(prediction: str, golds: list[str]) -> float:

@@ -3,14 +3,18 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_sentence
+from minprompt import entities as entities_mod
 from minprompt.entities import (
     ENTITY_TYPES,
+    Gazetteer,
     RecognizerConfig,
     load_gazetteers,
     load_sidecar,
@@ -102,6 +106,91 @@ class TestBuiltinRecognizer:
         spans = [m.char_span for m in mentions]
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
+
+
+# Pieces for random texts and gazetteer terms: words with '_', digits and
+# non-ASCII letters, capitalized words (runs) and numbers (patterns), and
+# punctuation that terms may start with.
+_PIECES = [
+    "a", "b", "ab", "Ab", "a_b", "_", "x1", "1960", "5", "é", "Éa", "ß", "ﬁ",
+    " ", " ", " ", ".", "-", "$", "%", "'",
+]
+_TERMS = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join)
+_ENTRIES = st.lists(st.tuples(_TERMS, st.sampled_from(["ORG", "GPE", "PERSON"])), max_size=12)
+
+
+def draw_gazetteer_and_text(data) -> tuple[dict[str, str], str]:
+    """A gazetteer (later duplicates win) and a text made of pieces and its terms."""
+    table = dict(data.draw(_ENTRIES))
+    pool = _PIECES + sorted(table)
+    return table, "".join(data.draw(st.lists(st.sampled_from(pool), max_size=25)))
+
+
+def reference_recognize(sentence, table):
+    """recognize_builtin with the per-term scan and the quadratic overlap step."""
+    with mock.patch.object(
+        entities_mod, "_gazetteer_candidates", oracles.scan_gazetteer_candidates
+    ), mock.patch.object(entities_mod, "_resolve_overlaps", oracles.quadratic_resolve_overlaps):
+        return recognize_builtin(sentence, table)
+
+
+class TestGazetteerIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_candidates_equal_per_term_scan(self, data):
+        table, text = draw_gazetteer_and_text(data)
+        got = entities_mod._gazetteer_candidates(text, Gazetteer(table))
+        assert sorted(got) == sorted(oracles.scan_gazetteer_candidates(text, table))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_recognize_equals_reference(self, data):
+        table, text = draw_gazetteer_and_text(data)
+        sentence = make_sentence(0, text)
+        expected = reference_recognize(sentence, table)
+        assert recognize_builtin(sentence, Gazetteer(table)) == expected
+        assert recognize_builtin(sentence, table) == expected  # a plain dict still works
+
+    def test_overlapping_and_repeated_matches(self):
+        gaz = Gazetteer({"a a": "ORG", "a": "GPE", "-a": "PERSON"})
+        text = "a a a -a"
+        found = sorted(entities_mod._gazetteer_candidates(text, gaz))
+        assert found == sorted(oracles.scan_gazetteer_candidates(text, gaz))
+        assert [(s, e) for s, e, t, _ in found if t == "ORG"] == [(0, 3), (2, 5)]
+        assert ("-a", "PERSON") in [(text[s:e], t) for s, e, t, _ in found]
+
+    def test_mapping_behaves_like_the_dict(self, tmp_path):
+        first = tmp_path / "a.tsv"
+        second = tmp_path / "b.tsv"
+        first.write_text("Lakers\tORG\nLos Angeles\tGPE\nLakers\tMISC\n", encoding="utf-8")
+        second.write_text("Los Angeles\tLOC\n.com\tORG\n", encoding="utf-8")
+        gaz = load_gazetteers([str(first), str(second)])
+        assert gaz == {"Lakers": "MISC", "Los Angeles": "LOC", ".com": "ORG"}
+        assert len(gaz) == 3
+        assert list(gaz) == ["Lakers", "Los Angeles", ".com"]
+        with pytest.raises(TypeError):
+            gaz["Lakers"] = "ORG"
+        assert gaz.fallback == [(".com", "ORG")]
+
+
+class TestResolveOverlaps:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(0, 8),
+                st.sampled_from(["ORG", "DATE", "MISC"]),
+                st.tuples(st.integers(0, 2), st.integers(0, 5)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_quadratic_reference(self, raw):
+        candidates = [(start, start + length, etype, rank) for start, length, etype, rank in raw]
+        assert entities_mod._resolve_overlaps(candidates) == oracles.quadratic_resolve_overlaps(
+            candidates
+        )
 
 
 class TestWhFamily:
@@ -221,7 +310,16 @@ class _RecognizerHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if cls.behavior == "reject":
+            self.send_response(400)
+            self.end_headers()
+            return
         mentions = []
+        if cls.behavior == "always_sentence_0":
+            # a valid record for sentence 0, whatever the batch holds
+            mentions.append(
+                {"sentence_id": 0, "start": 4, "end": 10, "surface": "Lakers", "type": "ORG"}
+            )
         if cls.behavior == "lakers":
             for item in payload["sentences"]:
                 pos = item["text"].find("Lakers")
@@ -305,6 +403,23 @@ class TestServiceMode:
         sentences = [make_sentence(0, "The Lakers won.")]
         with pytest.raises(PipelineError, match="3 attempts"):
             recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+
+    def test_client_error_is_not_retried(self, recognizer_service):
+        _RecognizerHandler.behavior = "reject"
+        sentences = [make_sentence(0, "The Lakers won.")]
+        with pytest.raises(PipelineError, match="HTTP 400"):
+            recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+        assert _RecognizerHandler.request_count == 1
+
+    def test_record_for_a_sentence_outside_the_batch_rejected(self, recognizer_service):
+        _RecognizerHandler.behavior = "always_sentence_0"
+        sentences = [make_sentence(i, "The Lakers won.") for i in range(4)]
+        # batch 0 holds sentence 0, so its reply is valid
+        mentions = recognize_service(sentences[:2], recognizer_service, batch_size=2)
+        assert surfaces(mentions[0]) == [("Lakers", "ORG")]
+        # batch 1 holds sentences 2 and 3 but its reply names sentence 0
+        with pytest.raises(ValidationError, match="batch 1 record 0: unknown sentence_id 0"):
+            recognize_service(sentences, recognizer_service, batch_size=2, max_in_flight=1)
 
     def test_dispatcher_service_mode(self, recognizer_service):
         _RecognizerHandler.behavior = "lakers"

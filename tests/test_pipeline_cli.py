@@ -4,9 +4,15 @@ import json
 import os
 import re
 
+from unittest import mock
+
 import pytest
 
+import oracles
 from conftest import FIXTURE_DIR
+from minprompt import entities as entities_mod
+from minprompt import pipeline as pipeline_mod
+from minprompt import retrieval as retrieval_mod
 from minprompt.cli import main
 from minprompt.errors import ValidationError
 from minprompt.pipeline import (
@@ -226,6 +232,41 @@ class TestRunPipeline:
             provenance = [json.loads(line) for line in fh]
         assert {p["sentence_id"] for p in provenance} == {s["sentence_id"] for s in retrieved}
 
+    @pytest.mark.parametrize("top_k", [1, 3, 50])
+    def test_stage_retrieve_matches_per_mention_ranking(self, tmp_path, top_k):
+        config = load_config(
+            write_fixture_config(tmp_path, retrieval_top_k=str(top_k), **RETRIEVAL)
+        )
+        _, sentences = pipeline_mod.ingest_and_segment(
+            config, config.input_paths, config.input_format
+        )
+        mentions = entities_mod.recognize(sentences, config.recognizer_config())
+        with mock.patch.object(
+            retrieval_mod, "rank", side_effect=retrieval_mod.rank
+        ) as rank_spy:
+            got = pipeline_mod.stage_retrieve(config, sentences, mentions)
+        assert rank_spy.call_count == sum(1 for s in sentences if mentions[s.sentence_id])
+
+        original = retrieval_mod.retrieve_support_sentence
+
+        def per_mention(index, *args, ranking=None, **kwargs):
+            # the reference ignores the shared ranking and ranks each mention
+            # anew with the dict loop
+            with mock.patch.object(
+                retrieval_mod,
+                "rank",
+                lambda ix, query, limit=None: oracles.dict_rank(
+                    oracles.DictBm25Index.like(ix), query, limit
+                ),
+            ):
+                return original(index, *args, **kwargs)
+
+        with mock.patch.object(retrieval_mod, "retrieve_support_sentence", per_mention):
+            expected = pipeline_mod.stage_retrieve(config, sentences, mentions)
+        assert got == expected
+        if top_k > 1:  # the top candidate never qualifies on the fixture
+            assert got[2], "the fixture should retrieve support sentences"
+
 
 class TestStatsTable:
     def test_row_labels(self):
@@ -314,6 +355,52 @@ class TestCli:
         full_cfg = write_fixture_config(tmp_path, "full", "out_full")
         assert main(["run", "--config", full_cfg]) == 0
         assert read_artifacts(tmp_path / "out_staged") == read_artifacts(tmp_path / "out_full")
+
+    def test_generate_reports_graph_stats_without_edges(self, tmp_path, capsys):
+        staged_cfg = write_fixture_config(tmp_path)
+        for command in ("ingest", "graph", "select"):
+            assert main([command, "--config", staged_cfg]) == 0, command
+        stats_path = tmp_path / "out" / "graph_stats.json"
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        # the shape the select_hubs benchmark writes: enough for `select` only
+        stats_path.write_text(
+            json.dumps({"nodes": stats["nodes"], "entities": stats["entities"]}), encoding="utf-8"
+        )
+        assert main(["select", "--config", staged_cfg]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--config", staged_cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("minprompt: error: graph_stats.json: malformed artifact")
+        assert "'edges'" in err
+
+    @pytest.mark.parametrize(
+        "file_name, last_line, command",
+        [
+            ("postings.jsonl", '{"entity": "lakers", "sente', "select"),
+            ("postings.jsonl", '{"entity": "lakers"}', "select"),
+            ("postings.jsonl", '["lakers", [0, 1]]', "select"),
+            ("postings.jsonl", '{"entity": "lakers", "sentences": [100000]}', "select"),
+            ("sentences.jsonl", '{"sentence_id": 1000}', "graph"),
+            ("mentions.jsonl", '{"sentence_id": 0, "start": 0', "generate"),
+        ],
+        ids=[
+            "truncated_postings", "postings_missing_key", "postings_not_an_object",
+            "postings_id_out_of_range", "sentence_missing_keys", "truncated_mentions",
+        ],
+    )
+    def test_stage_reports_malformed_artifact(
+        self, tmp_path, capsys, file_name, last_line, command
+    ):
+        staged_cfg = write_fixture_config(tmp_path)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        with open(tmp_path / "out" / file_name, "a", encoding="utf-8") as handle:
+            handle.write(last_line + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", staged_cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"minprompt: error: {file_name}: malformed artifact"
+        )
 
     def test_seed_and_out_overrides(self, tmp_path):
         path = write_fixture_config(tmp_path)

@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_sentence, mention_at
 from minprompt.errors import ValidationError
 from minprompt.retrieval import (
     RetrievalConstraints,
-    bm25_score,
     build_index,
     rank,
     retrieve_support_sentence,
@@ -37,7 +38,9 @@ class TestTokenizer:
 class TestBuildIndex:
     def test_doc_freq_counts(self):
         index = build_index(corpus(["a b", "b c"]))
-        assert index.doc_freq == {"a": 1, "b": 2, "c": 1}
+        assert {t: index.postings(t)[0].tolist() for t in "abc"} == {
+            "a": [0], "b": [0, 1], "c": [1]
+        }
         assert index.avg_len == 2.0
 
     def test_empty_corpus(self):
@@ -47,31 +50,39 @@ class TestBuildIndex:
 
     def test_case_folding_merges_tf(self):
         index = build_index(corpus(["B b"]))
-        assert index.postings["b"] == [(0, 2)]
+        ids, weights = index.postings("b")
+        assert ids.tolist() == [0]
+        # one posting with tf = 2: idf * 2 * (k1 + 1) / (2 + k1), length == avg_len
+        assert weights.tolist() == [pytest.approx(math.log(4 / 3) * 4.4 / 3.2, abs=1e-12)]
 
     def test_token_free_sentence_unindexed(self):
         index = build_index(corpus(["...", "real words"]))
-        assert 0 not in index.lengths
+        assert index.lengths[0] == 0
+        assert index.indexed_ids.tolist() == [1]
         assert index.indexed_count == 1
-        with pytest.raises(ValidationError, match="not indexed"):
-            bm25_score(index, ["real"], 0)
+        # an unindexed sentence is never ranked, not even in the zero-score tail
+        for query in (["real"], ["nothing"], []):
+            assert [sid for sid, _ in rank(index, query)] == [1]
 
 
 class TestScoring:
     def test_absent_term_scores_zero(self):
         index = build_index(corpus(["a b c"]))
-        assert bm25_score(index, ["zzz"], 0) == 0.0
+        assert rank(index, ["zzz"]) == [(0, 0.0)]
 
     def test_single_sentence_exact_value(self):
         # idf = ln((1 - 1 + 0.5) / (1 + 0.5) + 1) = ln(4/3); length term
         # cancels (len == avg_len), tf term is 2.2 / 2.2
         index = build_index(corpus(["a"]))
-        assert bm25_score(index, ["a"], 0) == pytest.approx(math.log(4 / 3), abs=1e-12)
+        [(sid, score)] = rank(index, ["a"])
+        assert sid == 0
+        assert score == pytest.approx(math.log(4 / 3), abs=1e-12)
 
     def test_duplicate_sentences_score_identically(self):
         index = build_index(corpus(["the lakers won", "the lakers won", "other text here"]))
         for query in (["lakers"], ["the", "lakers", "won"], ["text"]):
-            assert bm25_score(index, query, 0) == bm25_score(index, query, 1)
+            scores = dict(rank(index, query))
+            assert scores[0] == scores[1]
 
     def test_rank_matches_naive_reference(self):
         rng = random.Random(11)
@@ -99,6 +110,41 @@ class TestScoring:
         index = build_index(corpus(["a a a", "a a b", "a c", "d"]))
         top2 = rank(index, ["a"], limit=2)
         assert [sid for sid, _ in top2] == [0, 1]
+
+
+# A small vocabulary makes score ties common; "" and "..." make unindexed
+# sentences; "zz" is never indexed, so queries also hold absent terms.
+_WORDS = st.sampled_from(["a", "b", "c", "d", "A"])
+_TEXTS = st.one_of(
+    st.lists(_WORDS, max_size=6).map(" ".join), st.sampled_from(["", "...", "a b", "b a"])
+)
+
+
+class TestRankAgainstDictLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(_TEXTS, max_size=12),
+        query=st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
+        limit=st.one_of(st.none(), st.integers(min_value=1, max_value=14)),
+    )
+    def test_rank_equals_dict_loop(self, texts, query, limit):
+        index = build_index(corpus(texts))
+        reference = oracles.DictBm25Index(texts)
+        got = rank(index, query, limit=limit)
+        assert got == oracles.dict_rank(reference, query, limit=limit)
+        for sid, score in got:
+            assert score == oracles.dict_bm25_score(reference, query, sid)
+
+    def test_duplicated_tokens_and_ties_below_and_above_limit(self):
+        texts = ["a b", "b a", "a b", "a", "c", "", "a a b"]
+        index = build_index(corpus(texts))
+        reference = oracles.DictBm25Index(texts)
+        query = ["a", "b", "a", "zz", "b"]
+        scored = sum(1 for sid in range(len(texts)) if {"a", "b"} & set(tokenize(texts[sid])))
+        for limit in (None, 1, 2, 3, scored - 1, scored, scored + 1, len(texts) + 3):
+            assert rank(index, query, limit=limit) == oracles.dict_rank(
+                reference, query, limit=limit
+            ), limit
 
 
 def support_fixture():
