@@ -11,7 +11,6 @@ from .domset import (
     DominatingSetResult,
     approx_dominating_set,
     approximation_bound,
-    brute_force_dominating_set,
     is_dominating_set,
 )
 from .entities import (

@@ -109,7 +109,7 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    return _print_stats(pipeline_mod.read_stats(os.path.abspath(args.out)))
+    return _print_stats(pipeline_mod.load_artifacts(os.path.abspath(args.out), ("stats",)).stats)
 
 
 def _cmd_eval(args) -> int:

@@ -9,11 +9,12 @@ dependency-free; spans are UTF-8 byte offsets into the document text.
 from __future__ import annotations
 
 import gzip
-import json
 import os
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
+from .fileio import iter_lines, parse_json
 from .offsets import ByteOffsets
 
 PLAIN_TEXT = "plain_text"
@@ -35,7 +36,8 @@ DEFAULT_ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINALS = frozenset(".!?")
+# a sentence terminal and the whitespace run after it; `\s` is str.isspace()
+_TERMINAL_RE = re.compile(r"[.!?]\s+")
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class Document:
     doc_id: str
     dataset_id: str
     text: str
-    source_path: str
 
 
 @dataclass(frozen=True)
@@ -94,50 +95,29 @@ def _read_plain(path: str, dataset_id: str) -> Document:
         text = handle.read()
     if not text.strip():
         raise ValidationError(f"document {path} is empty after whitespace normalization")
-    return Document(
-        doc_id=os.path.basename(path),
-        dataset_id=dataset_id,
-        text=text,
-        source_path=path,
-    )
+    return Document(doc_id=os.path.basename(path), dataset_id=dataset_id, text=text)
 
 
 def _read_mrqa(path: str, dataset_id: str) -> list[Document]:
     base = os.path.basename(path)
     docs: list[Document] = []
-    index = 0
     with open(path, "rb") as raw:
         magic = raw.read(2)
     opener = gzip.open if magic == b"\x1f\x8b" else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith('{"header"'):
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON line: {exc}") from exc
-            if not isinstance(record, dict) or "context" not in record:
-                raise ParseError(f"{path}:{lineno}: record is missing the 'context' field")
-            context = record["context"]
-            if not isinstance(context, str):
-                raise ParseError(f"{path}:{lineno}: 'context' is not a string")
-            if not context.strip():
-                raise ValidationError(
-                    f"{path}:{lineno}: context is empty after whitespace normalization"
-                )
-            docs.append(
-                Document(
-                    doc_id=f"{base}#{index}",
-                    dataset_id=dataset_id,
-                    text=context,
-                    source_path=path,
-                )
+    for lineno, line in iter_lines(path, opener=opener):
+        if line.startswith('{"header"'):
+            continue
+        record = parse_json(line, path, lineno)
+        if not isinstance(record, dict) or "context" not in record:
+            raise ParseError(f"{path}:{lineno}: record is missing the 'context' field")
+        context = record["context"]
+        if not isinstance(context, str):
+            raise ParseError(f"{path}:{lineno}: 'context' is not a string")
+        if not context.strip():
+            raise ValidationError(
+                f"{path}:{lineno}: context is empty after whitespace normalization"
             )
-            index += 1
+        docs.append(Document(doc_id=f"{base}#{len(docs)}", dataset_id=dataset_id, text=context))
     return docs
 
 
@@ -159,20 +139,13 @@ def _raw_char_spans(text: str, abbreviations: frozenset[str]) -> list[tuple[int,
     spans: list[tuple[int, int]] = []
     n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINALS and i + 1 < n and text[i + 1].isspace():
-            k = i + 1
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n and (text[k].isupper() or text[k].isdigit()):
-                if not (ch == "." and _is_abbreviation(text, i, abbreviations)):
-                    spans.append((start, i + 1))
-                    start = k
-                    i = k
-                    continue
-        i += 1
+    for match in _TERMINAL_RE.finditer(text):
+        k = match.end()
+        if k < n and (text[k].isupper() or text[k].isdigit()):
+            i = match.start()
+            if not (text[i] == "." and _is_abbreviation(text, i, abbreviations)):
+                spans.append((start, i + 1))
+                start = k
     if start < n:
         spans.append((start, n))
     return spans
@@ -225,11 +198,4 @@ def segment_corpus(
 
 def load_abbreviations(path: str) -> frozenset[str]:
     """One abbreviation per line ('#' starts a comment); casefolded."""
-    entries: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            token = line.strip()
-            if not token or token.startswith("#"):
-                continue
-            entries.add(token.casefold())
-    return frozenset(entries)
+    return frozenset(token.casefold() for _, token in iter_lines(path, comments=True))

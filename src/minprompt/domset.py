@@ -1,4 +1,4 @@
-"""Greedy dominating-set approximation plus an exhaustive oracle.
+"""Greedy dominating-set approximation.
 
 The greedy keeps a max-priority queue of uncovered nodes keyed by residual
 degree (count of currently uncovered neighbors). Covered nodes leave
@@ -12,7 +12,6 @@ auxiliary state is O(V).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,6 @@ from .sentgraph import SentenceGraph
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
-
-_BRUTE_FORCE_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -121,46 +118,11 @@ def is_dominating_set(graph: SentenceGraph, candidate) -> bool:
     return bool(dominated.all())
 
 
-def brute_force_dominating_set(graph: SentenceGraph) -> list[int]:
-    """Exact minimum dominating set by subset enumeration (V <= 25).
-
-    Subsets are tried in increasing cardinality, lexicographically within
-    each cardinality, and the first dominating one is returned.
-    """
-    n = graph.node_count
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValidationError(
-            f"brute force limited to {_BRUTE_FORCE_LIMIT} nodes, got {n}"
-        )
-    closed_masks = []
-    for v in range(n):
-        mask = 0
-        for u in graph.closed_neighborhood(v).tolist():
-            mask |= 1 << u
-        closed_masks.append(mask)
-    full = (1 << n) - 1
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= closed_masks[v]
-            if mask == full:
-                return list(combo)
-    raise AssertionError("unreachable: the full node set always dominates")
-
-
 def approximation_bound(max_degree: int) -> float:
     """Guaranteed greedy-vs-optimal ratio: ln(max(degree, 1)) + 2."""
     if max_degree < 0:
         raise ValidationError(f"max degree must be >= 0, got {max_degree}")
     return math.log(max(max_degree, 1)) + 2.0
-
-
-def harmonic(n: int) -> float:
-    """H(n) = sum of 1/i for i in 1..n; ln(n) < H(n) <= ln(n) + 1."""
-    if n < 1:
-        raise ValidationError(f"harmonic number needs n >= 1, got {n}")
-    return sum(1.0 / i for i in range(1, n + 1))
 
 
 def export_result(result: DominatingSetResult) -> dict:

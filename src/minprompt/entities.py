@@ -10,17 +10,17 @@ overlap-resolution step, so they emit mentions with identical invariants.
 from __future__ import annotations
 
 import bisect
-import json
 import re
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
 from .corpus import Sentence
 from .errors import PipelineError, ValidationError
+from .fileio import iter_jsonl, iter_lines
 from .offsets import ByteOffsets, byte_length, byte_slice
 
 ENTITY_TYPES = frozenset(
@@ -129,20 +129,16 @@ def load_gazetteers(paths: tuple[str, ...] | list[str]) -> Gazetteer:
     """
     table: dict[str, str] = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split("\t")
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected 'term<TAB>TYPE'")
-                term, etype = parts[0].strip(), parts[1].strip()
-                if etype not in ENTITY_TYPES:
-                    raise ValidationError(f"{path}:{lineno}: unknown entity type {etype!r}")
-                if not term:
-                    raise ValidationError(f"{path}:{lineno}: empty term")
-                table[term] = etype
+        for lineno, line in iter_lines(path, comments=True):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 'term<TAB>TYPE'")
+            term, etype = parts[0].strip(), parts[1].strip()
+            if etype not in ENTITY_TYPES:
+                raise ValidationError(f"{path}:{lineno}: unknown entity type {etype!r}")
+            if not term:
+                raise ValidationError(f"{path}:{lineno}: empty term")
+            table[term] = etype
     return Gazetteer(table)
 
 
@@ -298,34 +294,31 @@ def recognize_builtin(
 
 
 def _validate_record(
-    record: dict, sentences_by_id: dict[int, Sentence], where: str
+    record: dict, sentences_by_id: dict[int, Sentence]
 ) -> tuple[int, EntityMention]:
-    """Shared validator for sidecar and service records."""
+    """Shared validator for sidecar and service records; the caller adds
+    the record's location to a ValidationError."""
     for field_name in ("sentence_id", "start", "end", "surface", "type"):
         if field_name not in record:
-            raise ValidationError(f"{where}: record is missing {field_name!r}")
+            raise ValidationError(f"record is missing {field_name!r}")
     sid = record["sentence_id"]
     start, end = record["start"], record["end"]
     surface, etype = record["surface"], record["type"]
     if not isinstance(sid, int) or sid not in sentences_by_id:
-        raise ValidationError(f"{where}: unknown sentence_id {sid!r}")
+        raise ValidationError(f"unknown sentence_id {sid!r}")
     if etype not in ENTITY_TYPES:
-        raise ValidationError(f"{where}: unknown entity type {etype!r}")
+        raise ValidationError(f"unknown entity type {etype!r}")
     sentence = sentences_by_id[sid]
     if not isinstance(start, int) or not isinstance(end, int) or not start < end:
-        raise ValidationError(f"{where}: invalid span ({start!r}, {end!r})")
+        raise ValidationError(f"invalid span ({start!r}, {end!r})")
     if end > byte_length(sentence.text):
-        raise ValidationError(
-            f"{where}: span ({start}, {end}) out of bounds for sentence {sid}"
-        )
+        raise ValidationError(f"span ({start}, {end}) out of bounds for sentence {sid}")
     actual = byte_slice(sentence.text, start, end)
     if actual != surface:
-        raise ValidationError(
-            f"{where}: surface {surface!r} does not match sentence slice {actual!r}"
-        )
+        raise ValidationError(f"surface {surface!r} does not match sentence slice {actual!r}")
     key = normalize_key(surface)
     if not key:
-        raise ValidationError(f"{where}: surface normalizes to an empty key")
+        raise ValidationError("surface normalizes to an empty key")
     return sid, EntityMention(surface, etype, (start, end), key)
 
 
@@ -355,18 +348,12 @@ def load_sidecar(
     """Load mention annotations from a JSON Lines sidecar file."""
     by_id = {s.sentence_id: s for s in sentences}
     per_sentence: dict[int, list[EntityMention]] = {s.sentence_id: [] for s in sentences}
-    with open(sidecar_path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            where = f"{sidecar_path}:{lineno}"
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: malformed JSON: {exc}") from exc
-            sid, mention = _validate_record(record, by_id, where)
-            per_sentence[sid].append(mention)
+    for lineno, record in iter_jsonl(sidecar_path):
+        try:
+            sid, mention = _validate_record(record, by_id)
+        except ValidationError as exc:
+            raise ValidationError(f"{sidecar_path}:{lineno}: {exc}") from None
+        per_sentence[sid].append(mention)
     return _finalize(per_sentence)
 
 
@@ -425,8 +412,12 @@ def recognize_service(
         for batch_index, (batch, records) in enumerate(zip(batches, results)):
             batch_by_id = {s.sentence_id: s for s in batch}
             for record_index, record in enumerate(records):
-                where = f"service batch {batch_index} record {record_index}"
-                sid, mention = _validate_record(record, batch_by_id, where)
+                try:
+                    sid, mention = _validate_record(record, batch_by_id)
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"service batch {batch_index} record {record_index}: {exc}"
+                    ) from None
                 per_sentence[sid].append(mention)
     return _finalize(per_sentence)
 
@@ -453,11 +444,4 @@ def recognize(
 
 def load_stoplist(path: str) -> frozenset[str]:
     """Normalized entity keys to drop before graph construction."""
-    keys: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            keys.add(normalize_key(stripped))
-    return frozenset(keys)
+    return frozenset(normalize_key(line) for _, line in iter_lines(path, comments=True))

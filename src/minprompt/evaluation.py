@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .fileio import iter_jsonl
 from .retrieval import tokenize
 
 
@@ -35,32 +35,16 @@ def token_f1(prediction: str, gold_answers: list[str]) -> float:
 def evaluate_files(pred_path: str, gold_path: str) -> dict:
     """Score line-paired JSONL files: {"prediction": str} vs {"answers": [str...]}."""
     predictions: list[str] = []
-    with open(pred_path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{pred_path}:{lineno}: malformed JSON: {exc}") from exc
-            if "prediction" not in record:
-                raise ValidationError(f"{pred_path}:{lineno}: missing 'prediction'")
-            predictions.append(record["prediction"])
+    for lineno, record in iter_jsonl(pred_path):
+        if "prediction" not in record:
+            raise ValidationError(f"{pred_path}:{lineno}: missing 'prediction'")
+        predictions.append(record["prediction"])
     golds: list[list[str]] = []
-    with open(gold_path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{gold_path}:{lineno}: malformed JSON: {exc}") from exc
-            answers = record.get("answers")
-            if not isinstance(answers, list) or not answers:
-                raise ValidationError(f"{gold_path}:{lineno}: missing non-empty 'answers'")
-            golds.append(answers)
+    for lineno, record in iter_jsonl(gold_path):
+        answers = record.get("answers")
+        if not isinstance(answers, list) or not answers:
+            raise ValidationError(f"{gold_path}:{lineno}: missing non-empty 'answers'")
+        golds.append(answers)
     if len(predictions) != len(golds):
         raise ValidationError(
             f"prediction/gold line counts differ: {len(predictions)} vs {len(golds)}"

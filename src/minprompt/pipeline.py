@@ -27,10 +27,9 @@ timings.json only.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
@@ -41,7 +40,8 @@ from . import retrieval as retrieval_mod
 from . import sentgraph as sentgraph_mod
 from .corpus import Document, Sentence
 from .entities import EntityMention, RecognizerConfig
-from .errors import PipelineError, StageError, ValidationError
+from .errors import ParseError, PipelineError, StageError, ValidationError
+from .fileio import iter_lines, read_json, read_jsonl, write_json, write_jsonl, write_text
 from .qgen import RetrievedContext, WhPriors
 
 STYLE_CHOICES = ("wh", "cloze", "both")
@@ -140,6 +140,15 @@ class PipelineConfig:
         self.recognizer_config().validate()
         if self.retrieval_enabled and not self.support_paths:
             raise ValidationError("retrieval_enabled requires support_paths")
+        if (
+            self.retrieval_enabled
+            and self.recognizer_mode == entities_mod.MODE_SIDECAR
+            and not self.support_sidecar_path
+        ):
+            # the query sidecar's sentence ids name query sentences only
+            raise ValidationError(
+                "recognizer_mode = sidecar with retrieval requires support_sidecar_path"
+            )
         for path in self._referenced_paths():
             if not os.path.exists(path):
                 raise ValidationError(f"configured path does not exist: {path}")
@@ -240,18 +249,14 @@ def load_config(path: str) -> PipelineConfig:
     """Parse the flat `key = value` config file; paths resolve relative to it."""
     base_dir = os.path.dirname(os.path.abspath(path))
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KINDS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = parse_config_value(key, CONFIG_KINDS[key], raw, base_dir)
+    for lineno, line in iter_lines(path, comments=True):
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KINDS:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = parse_config_value(key, CONFIG_KINDS[key], raw, base_dir)
     return PipelineConfig(**values)
 
 
@@ -261,8 +266,7 @@ def write_config_echo(config: PipelineConfig, path: str) -> None:
     for f in fields(PipelineConfig):
         kind = CONFIG_KINDS[f.name]
         lines.append(f"{f.name} = {_format_value(kind, getattr(config, f.name))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_text("\n".join(lines) + "\n", path)
 
 
 def expand_input_paths(paths: tuple[str, ...]) -> tuple[str, ...]:
@@ -340,34 +344,6 @@ class StageClock:
 # artifact io
 
 
-def write_jsonl(records, path: str) -> None:
-    lines = [json.dumps(record, ensure_ascii=False) for record in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if lines:
-            handle.write("\n".join(lines) + "\n")
-
-
-def _write_json(payload, path: str, indent: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-
-
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped:
-                records.append(json.loads(stripped))
-    return records
-
-
 def write_documents(documents: list[Document], path: str) -> None:
     write_jsonl(
         (
@@ -375,7 +351,6 @@ def write_documents(documents: list[Document], path: str) -> None:
                 "doc_id": d.doc_id,
                 "dataset_id": d.dataset_id,
                 "text": d.text,
-                "source_path": d.source_path,
             }
             for d in documents
         ),
@@ -384,7 +359,7 @@ def write_documents(documents: list[Document], path: str) -> None:
 
 
 def read_documents(path: str) -> list[Document]:
-    return [Document(**record) for record in read_jsonl(path)]
+    return [Document(r["doc_id"], r["dataset_id"], r["text"]) for r in read_jsonl(path)]
 
 
 def write_sentences(sentences: list[Sentence], path: str) -> None:
@@ -494,16 +469,12 @@ def stage_retrieve(
     _, support_sentences = ingest_and_segment(
         config, config.support_paths, config.support_format
     )
+    recognizer = config.recognizer_config()
     if config.support_sidecar_path:
-        support_mentions = entities_mod.load_sidecar(
-            config.support_sidecar_path, support_sentences
+        recognizer = replace(
+            recognizer, mode=entities_mod.MODE_SIDECAR, sidecar_path=config.support_sidecar_path
         )
-    else:
-        gazetteers = entities_mod.load_gazetteers(config.gazetteer_paths)
-        support_mentions = {
-            s.sentence_id: entities_mod.recognize_builtin(s, gazetteers)
-            for s in support_sentences
-        }
+    support_mentions = entities_mod.recognize(support_sentences, recognizer)
     index = retrieval_mod.build_index(support_sentences, support_mentions)
     constraints = retrieval_mod.RetrievalConstraints(
         require_answer_entity=config.require_answer_entity,
@@ -679,12 +650,16 @@ ARTIFACTS = {
         ),
     ),
     "graph_stats": (
-        "graph_stats.json", lambda v, p: _write_json(v, p, indent=2), lambda st, p: _read_json(p)
+        "graph_stats.json", lambda v, p: write_json(v, p, indent=2), lambda st, p: read_json(p)
     ),
-    "selection": ("selection.json", _write_json, lambda st, p: _read_json(p)),
+    "selection": ("selection.json", write_json, lambda st, p: read_json(p)),
     "samples": ("samples.jsonl", lambda v, p: qgen_mod.write_samples_jsonl(v, p), None),
-    # also writes timings.json
-    "stats": ("stats.json", lambda v, p: write_stats_files(v, os.path.dirname(p)), None),
+    # with timings.json
+    "stats": (
+        "stats.json",
+        lambda v, p: write_stats_files(v, os.path.dirname(p)),
+        lambda st, p: read_stats(os.path.dirname(p)),
+    ),
 }
 
 
@@ -695,7 +670,7 @@ def load_artifacts(out_dir: str, names: tuple[str, ...]) -> PipelineState:
         file_name, _, read = ARTIFACTS[name]
         try:
             value = read(state, os.path.join(out_dir, file_name))
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, ParseError, ValidationError) as exc:
             raise PipelineError(
                 f"{file_name}: malformed artifact ({type(exc).__name__}: {exc})"
             ) from exc
@@ -842,16 +817,16 @@ def write_stats_files(stats: PipelineStats, out_dir: str) -> None:
     timings.json so reruns stay byte-identical."""
     payload = stats.to_json_dict()
     timings = payload.pop("timings_ms")
-    _write_json(payload, os.path.join(out_dir, "stats.json"))
-    _write_json({"timings_ms": timings}, os.path.join(out_dir, "timings.json"))
+    write_json(payload, os.path.join(out_dir, "stats.json"))
+    write_json({"timings_ms": timings}, os.path.join(out_dir, "timings.json"))
 
 
 def read_stats(out_dir: str) -> PipelineStats:
-    payload = _read_json(os.path.join(out_dir, "stats.json"))
+    payload = read_json(os.path.join(out_dir, "stats.json"))
     timings = {}
     timings_path = os.path.join(out_dir, "timings.json")
     if os.path.exists(timings_path):
-        timings = _read_json(timings_path).get("timings_ms", {})
+        timings = read_json(timings_path).get("timings_ms", {})
     return PipelineStats(
         nodes=payload["nodes"],
         edges=payload["edges"],

@@ -10,7 +10,6 @@ chosen entity occurrence inside the context; the target restores both.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from importlib import resources
 from .corpus import Document, Sentence
 from .entities import ENTITY_TYPES, EntityMention, wh_family
 from .errors import ValidationError
+from .fileio import read_json, write_jsonl
 from .offsets import byte_length, byte_slice
 
 log = logging.getLogger(__name__)
@@ -90,16 +90,13 @@ class WhPriors:
 
     @classmethod
     def from_file(cls, path: str) -> "WhPriors":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = read_json(path)
         return cls({etype: [(b, float(p)) for b, p in entries] for etype, entries in raw.items()})
 
     @classmethod
     def default(cls) -> "WhPriors":
-        raw = json.loads(
-            resources.files("minprompt.data").joinpath("priors.json").read_text("utf-8")
-        )
-        return cls({etype: [(b, float(p)) for b, p in entries] for etype, entries in raw.items()})
+        with resources.as_file(resources.files("minprompt.data") / "priors.json") as path:
+            return cls.from_file(str(path))
 
 
 def derive_seed(global_seed: int, sentence_id: int, mention_start: int) -> int:
@@ -372,7 +369,4 @@ def sample_to_json(sample: AugmentedSample) -> dict:
 
 def write_samples_jsonl(samples: list[AugmentedSample], path: str) -> None:
     """UTF-8 JSON Lines, newline separated, no trailing blank line."""
-    lines = [json.dumps(sample_to_json(s), ensure_ascii=False) for s in samples]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if lines:
-            handle.write("\n".join(lines) + "\n")
+    write_jsonl((sample_to_json(s) for s in samples), path)

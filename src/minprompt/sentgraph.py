@@ -9,7 +9,6 @@ Auxiliary memory stays O(V + total posting length).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .corpus import Sentence
 from .entities import EntityMention
 from .errors import ValidationError
+from .fileio import iter_jsonl, write_jsonl
 
 SCOPE_CORPUS = "corpus"
 SCOPE_DOCUMENT = "document"
@@ -169,20 +169,11 @@ def build_graph(
 
 def write_postings_dump(graph: SentenceGraph, path: str) -> None:
     """Debug dump: one JSON line per entity key with its sentence ids."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for key in sorted(graph.postings):
-            record = {"entity": key, "sentences": graph.postings[key].tolist()}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    postings = graph.postings
+    write_jsonl(({"entity": k, "sentences": postings[k].tolist()} for k in sorted(postings)), path)
 
 
 def read_postings_dump(path: str, node_count: int) -> SentenceGraph:
     """Rebuild a graph from a postings dump plus the node count."""
-    raw: dict[str, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            record = json.loads(stripped)
-            raw[record["entity"]] = record["sentences"]
+    raw = {record["entity"]: record["sentences"] for _, record in iter_jsonl(path)}
     return SentenceGraph.from_postings(node_count, raw)

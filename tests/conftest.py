@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import os
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -57,3 +60,79 @@ def lakers_sentences():
         3: [mention_at(texts[3], "Crypto.com Arena", "FAC")],
     }
     return sentences, mentions
+
+
+class RecognizerHandler(BaseHTTPRequestHandler):
+    """The HTTP recognizer of the `recognizer_service` fixture; `behavior`
+    picks its replies, `posted_texts` records every sentence sent to it."""
+
+    behavior = "echo_empty"
+    failures_left = 0
+    request_count = 0
+    posted_texts: list[str] = []
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        cls = type(self)
+        cls.request_count += 1
+        length = int(self.headers["Content-Length"])
+        payload = json.loads(self.rfile.read(length))
+        cls.posted_texts.extend(item["text"] for item in payload["sentences"])
+        if cls.behavior == "fail" or cls.failures_left > 0:
+            cls.failures_left = max(0, cls.failures_left - 1)
+            self.send_response(500)
+            self.end_headers()
+            return
+        if cls.behavior == "reject":
+            self.send_response(400)
+            self.end_headers()
+            return
+        mentions = []
+        if cls.behavior == "always_sentence_0":
+            # a valid record for sentence 0, whatever the batch holds
+            mentions.append(
+                {"sentence_id": 0, "start": 4, "end": 10, "surface": "Lakers", "type": "ORG"}
+            )
+        if cls.behavior == "lakers":
+            for item in payload["sentences"]:
+                pos = item["text"].find("Lakers")
+                if pos != -1:
+                    mentions.append(
+                        {
+                            "sentence_id": item["id"],
+                            "start": pos,
+                            "end": pos + 6,
+                            "surface": "Lakers",
+                            "type": "ORG",
+                        }
+                    )
+        elif cls.behavior == "overlapping":
+            for item in payload["sentences"]:
+                mentions.append(
+                    {"sentence_id": item["id"], "start": 4, "end": 15, "surface": "Los Angeles", "type": "GPE"}
+                )
+                mentions.append(
+                    {"sentence_id": item["id"], "start": 4, "end": 22, "surface": "Los Angeles Lakers", "type": "ORG"}
+                )
+        body = json.dumps({"mentions": mentions}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def recognizer_service():
+    server = HTTPServer(("127.0.0.1", 0), RecognizerHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    RecognizerHandler.behavior = "echo_empty"
+    RecognizerHandler.failures_left = 0
+    RecognizerHandler.request_count = 0
+    RecognizerHandler.posted_texts = []
+    yield f"http://127.0.0.1:{server.server_address[1]}/"
+    server.shutdown()
+    server.server_close()

@@ -7,11 +7,16 @@ between the two is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
+from minprompt.corpus import _is_abbreviation
 from minprompt.entities import _SRC_GAZETTEER, _on_token_boundary
+from minprompt.errors import ValidationError
 from minprompt.retrieval import tokenize
+
+_BRUTE_FORCE_LIMIT = 25
 
 
 def matrix_from_postings(n: int, postings: dict[str, list[int]]) -> list[list[bool]]:
@@ -74,6 +79,41 @@ def reference_greedy(adj: list[list[bool]]) -> list[int]:
             covered[u] = True
             candidate[u] = False
     return sorted(selected)
+
+
+def brute_force_dominating_set(graph: SentenceGraph) -> list[int]:
+    """Exact minimum dominating set by subset enumeration (V <= 25).
+
+    Subsets are tried in increasing cardinality, lexicographically within
+    each cardinality, and the first dominating one is returned.
+    """
+    n = graph.node_count
+    if n > _BRUTE_FORCE_LIMIT:
+        raise ValidationError(
+            f"brute force limited to {_BRUTE_FORCE_LIMIT} nodes, got {n}"
+        )
+    closed_masks = []
+    for v in range(n):
+        mask = 0
+        for u in graph.closed_neighborhood(v).tolist():
+            mask |= 1 << u
+        closed_masks.append(mask)
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            mask = 0
+            for v in combo:
+                mask |= closed_masks[v]
+            if mask == full:
+                return list(combo)
+    raise AssertionError("unreachable: the full node set always dominates")
+
+
+def harmonic(n: int) -> float:
+    """H(n) = sum of 1/i for i in 1..n; ln(n) < H(n) <= ln(n) + 1."""
+    if n < 1:
+        raise ValidationError(f"harmonic number needs n >= 1, got {n}")
+    return sum(1.0 / i for i in range(1, n + 1))
 
 
 def random_postings(
@@ -254,3 +294,27 @@ def naive_token_f1(prediction: str, golds: list[str]) -> float:
         recall = overlap / sum(gold_bag.values())
         best = max(best, 2 * precision * recall / (precision + recall))
     return best
+
+
+def loop_raw_char_spans(text: str, abbreviations: frozenset[str]) -> list[tuple[int, int]]:
+    """corpus._raw_char_spans as a walk over every character."""
+    spans: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in ".!?" and i + 1 < n and text[i + 1].isspace():
+            k = i + 1
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n and (text[k].isupper() or text[k].isdigit()):
+                if not (ch == "." and _is_abbreviation(text, i, abbreviations)):
+                    spans.append((start, i + 1))
+                    start = k
+                    i = k
+                    continue
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans

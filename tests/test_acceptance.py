@@ -15,14 +15,10 @@ import time
 import pytest
 
 import oracles
+from oracles import brute_force_dominating_set
 from conftest import FIXTURE_DIR, make_sentence, mention_at
 from minprompt.corpus import ingest, segment_corpus
-from minprompt.domset import (
-    approx_dominating_set,
-    approximation_bound,
-    brute_force_dominating_set,
-    is_dominating_set,
-)
+from minprompt.domset import approx_dominating_set, approximation_bound, is_dominating_set
 from minprompt.entities import load_gazetteers, recognize_builtin
 from minprompt.pipeline import load_config, run_pipeline
 from minprompt.qgen import (

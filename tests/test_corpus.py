@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from minprompt.corpus import (
     DEFAULT_ABBREVIATIONS,
     Document,
+    _raw_char_spans,
     ingest,
     load_abbreviations,
     segment_corpus,
@@ -25,7 +27,7 @@ def write(path, text):
 
 
 def make_doc(text, doc_id="doc"):
-    return Document(doc_id=doc_id, dataset_id="", text=text, source_path=doc_id)
+    return Document(doc_id=doc_id, dataset_id="", text=text)
 
 
 class TestIngestPlainText:
@@ -219,3 +221,22 @@ def test_segmentation_partitions_non_whitespace(text):
         cursor = end
     outside.append(data[cursor:])
     assert all(not chunk.decode("utf-8").strip() for chunk in outside)
+
+
+# pieces that hit every branch of the boundary rule: terminals and runs of
+# them, ASCII and Unicode whitespace, upper-case and title-case letters,
+# digits, abbreviations (listed and not) and lower-case words
+_SEGMENT_PIECES = st.sampled_from(
+    [".", "!", "?", "...", "?!", " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000",
+     "A", "Z", "\u00c9", "\u0394", "\u01c5", "\u10d1", "0", "7", "\u0663", "\u00b2",
+     "a", "word", "Dr.", "dr.", "e.g.", "U.S.", "Zzz.", "\u00e9t\u00e9", "-", "'"]
+)
+
+
+@given(st.lists(_SEGMENT_PIECES, max_size=40).map("".join))
+@settings(max_examples=400)
+def test_raw_char_spans_equal_character_walk(text):
+    for abbreviations in (DEFAULT_ABBREVIATIONS, frozenset({"zzz."})):
+        assert _raw_char_spans(text, abbreviations) == oracles.loop_raw_char_spans(
+            text, abbreviations
+        )

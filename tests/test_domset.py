@@ -7,12 +7,11 @@ import random
 import pytest
 
 import oracles
+from oracles import brute_force_dominating_set, harmonic
 from minprompt.domset import (
     approx_dominating_set,
     approximation_bound,
-    brute_force_dominating_set,
     export_result,
-    harmonic,
     is_dominating_set,
 )
 from minprompt.errors import ValidationError

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_sentence
+from conftest import RecognizerHandler, make_sentence
 from minprompt import entities as entities_mod
 from minprompt.entities import (
     ENTITY_TYPES,
@@ -292,76 +290,6 @@ class TestSidecar:
         assert surfaces(mentions[0]) == [("Los Angeles Lakers", "ORG")]
 
 
-class _RecognizerHandler(BaseHTTPRequestHandler):
-    behavior = "echo_empty"
-    failures_left = 0
-    request_count = 0
-
-    def log_message(self, *args):
-        pass
-
-    def do_POST(self):
-        cls = type(self)
-        cls.request_count += 1
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        if cls.behavior == "fail" or cls.failures_left > 0:
-            cls.failures_left = max(0, cls.failures_left - 1)
-            self.send_response(500)
-            self.end_headers()
-            return
-        if cls.behavior == "reject":
-            self.send_response(400)
-            self.end_headers()
-            return
-        mentions = []
-        if cls.behavior == "always_sentence_0":
-            # a valid record for sentence 0, whatever the batch holds
-            mentions.append(
-                {"sentence_id": 0, "start": 4, "end": 10, "surface": "Lakers", "type": "ORG"}
-            )
-        if cls.behavior == "lakers":
-            for item in payload["sentences"]:
-                pos = item["text"].find("Lakers")
-                if pos != -1:
-                    mentions.append(
-                        {
-                            "sentence_id": item["id"],
-                            "start": pos,
-                            "end": pos + 6,
-                            "surface": "Lakers",
-                            "type": "ORG",
-                        }
-                    )
-        elif cls.behavior == "overlapping":
-            for item in payload["sentences"]:
-                mentions.append(
-                    {"sentence_id": item["id"], "start": 4, "end": 15, "surface": "Los Angeles", "type": "GPE"}
-                )
-                mentions.append(
-                    {"sentence_id": item["id"], "start": 4, "end": 22, "surface": "Los Angeles Lakers", "type": "ORG"}
-                )
-        body = json.dumps({"mentions": mentions}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-@pytest.fixture
-def recognizer_service():
-    server = HTTPServer(("127.0.0.1", 0), _RecognizerHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _RecognizerHandler.behavior = "echo_empty"
-    _RecognizerHandler.failures_left = 0
-    _RecognizerHandler.request_count = 0
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
-    server.server_close()
-
-
 class TestServiceMode:
     def test_empty_responses_mean_isolated_nodes(self, recognizer_service):
         sentences = [make_sentence(i, f"Sentence {i} here.") for i in range(3)]
@@ -369,7 +297,7 @@ class TestServiceMode:
         assert mentions == {0: [], 1: [], 2: []}
 
     def test_valid_record_matches_sidecar_path(self, recognizer_service, tmp_path):
-        _RecognizerHandler.behavior = "lakers"
+        RecognizerHandler.behavior = "lakers"
         sentences = [make_sentence(0, "The Lakers won.")]
         from_service = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
         sidecar = tmp_path / "m.jsonl"
@@ -381,7 +309,7 @@ class TestServiceMode:
         assert from_service == from_sidecar
 
     def test_overlapping_spans_resolved(self, recognizer_service):
-        _RecognizerHandler.behavior = "overlapping"
+        RecognizerHandler.behavior = "overlapping"
         sentences = [make_sentence(0, "The Los Angeles Lakers won.")]
         mentions = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
         assert surfaces(mentions[0]) == [("Los Angeles Lakers", "ORG")]
@@ -389,30 +317,30 @@ class TestServiceMode:
     def test_batching(self, recognizer_service):
         sentences = [make_sentence(i, f"Sentence {i}.") for i in range(10)]
         recognize_service(sentences, recognizer_service, batch_size=4, retry_base_delay=0.01)
-        assert _RecognizerHandler.request_count == 3  # ceil(10 / 4)
+        assert RecognizerHandler.request_count == 3  # ceil(10 / 4)
 
     def test_transient_failures_are_retried(self, recognizer_service):
-        _RecognizerHandler.behavior = "lakers"
-        _RecognizerHandler.failures_left = 2
+        RecognizerHandler.behavior = "lakers"
+        RecognizerHandler.failures_left = 2
         sentences = [make_sentence(0, "The Lakers won.")]
         mentions = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
         assert surfaces(mentions[0]) == [("Lakers", "ORG")]
 
     def test_persistent_failure_fails_pipeline(self, recognizer_service):
-        _RecognizerHandler.behavior = "fail"
+        RecognizerHandler.behavior = "fail"
         sentences = [make_sentence(0, "The Lakers won.")]
         with pytest.raises(PipelineError, match="3 attempts"):
             recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
 
     def test_client_error_is_not_retried(self, recognizer_service):
-        _RecognizerHandler.behavior = "reject"
+        RecognizerHandler.behavior = "reject"
         sentences = [make_sentence(0, "The Lakers won.")]
         with pytest.raises(PipelineError, match="HTTP 400"):
             recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
-        assert _RecognizerHandler.request_count == 1
+        assert RecognizerHandler.request_count == 1
 
     def test_record_for_a_sentence_outside_the_batch_rejected(self, recognizer_service):
-        _RecognizerHandler.behavior = "always_sentence_0"
+        RecognizerHandler.behavior = "always_sentence_0"
         sentences = [make_sentence(i, "The Lakers won.") for i in range(4)]
         # batch 0 holds sentence 0, so its reply is valid
         mentions = recognize_service(sentences[:2], recognizer_service, batch_size=2)
@@ -422,7 +350,7 @@ class TestServiceMode:
             recognize_service(sentences, recognizer_service, batch_size=2, max_in_flight=1)
 
     def test_dispatcher_service_mode(self, recognizer_service):
-        _RecognizerHandler.behavior = "lakers"
+        RecognizerHandler.behavior = "lakers"
         config = RecognizerConfig(mode="service", service_endpoint=recognizer_service, retry_base_delay=0.01)
         sentences = [make_sentence(0, "The Lakers won.")]
         assert surfaces(recognize(sentences, config)[0]) == [("Lakers", "ORG")]

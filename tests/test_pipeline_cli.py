@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 
 from unittest import mock
 
 import pytest
 
 import oracles
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, RecognizerHandler
 from minprompt import entities as entities_mod
 from minprompt import pipeline as pipeline_mod
 from minprompt import retrieval as retrieval_mod
@@ -121,6 +122,21 @@ class TestConfig:
         write_config_echo(config, str(echo_path))
         assert load_config(str(echo_path)) == config
 
+    def test_sidecar_mode_with_retrieval_needs_a_support_sidecar(self, tmp_path, capsys):
+        sidecar = tmp_path / "mentions.jsonl"
+        sidecar.write_text("", encoding="utf-8")
+        sidecar_mode = {"recognizer_mode": "sidecar", "sidecar_path": str(sidecar), **RETRIEVAL}
+        path = write_fixture_config(tmp_path, **sidecar_mode)
+        # the query sidecar's sentence ids cannot name support sentences
+        with pytest.raises(ValidationError, match="support_sidecar_path"):
+            load_config(path).validate()
+        assert main(["run", "--config", path]) == 2
+        assert "support_sidecar_path" in capsys.readouterr().err
+        with_support = write_fixture_config(
+            tmp_path, "support", support_sidecar_path=str(sidecar), **sidecar_mode
+        )
+        load_config(with_support).validate()
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         config = load_config(write_fixture_config(tmp_path, workers="2"))
         assert config.effective_workers() == 2
@@ -231,6 +247,52 @@ class TestRunPipeline:
         with open(os.path.join(config.output_dir, "retrieved.jsonl"), encoding="utf-8") as fh:
             provenance = [json.loads(line) for line in fh]
         assert {p["sentence_id"] for p in provenance} == {s["sentence_id"] for s in retrieved}
+
+    def test_support_corpus_follows_service_mode(self, tmp_path, recognizer_service):
+        RecognizerHandler.behavior = "lakers"
+        support = tmp_path / "support"
+        support.mkdir()
+        (support / "s.txt").write_text(
+            "The Lakers signed a coach. Fans of the Lakers cheered.", encoding="utf-8"
+        )
+        config = load_config(
+            write_fixture_config(
+                tmp_path,
+                recognizer_mode="service",
+                service_endpoint=recognizer_service,
+                retrieval_enabled="true",
+                support_paths=str(support),
+            )
+        )
+        run_pipeline(config)
+        posted = RecognizerHandler.posted_texts
+        assert "The Lakers signed a coach." in posted
+        assert "Fans of the Lakers cheered." in posted
+
+    def test_artifacts_do_not_depend_on_the_input_directory(self, tmp_path):
+        runs = []
+        for name in ("a", "a_much_longer_directory_name"):
+            root = tmp_path / name
+            shutil.copytree(FIXTURE_DIR, root / "fixtures")
+            config_path = root / "pipeline.cfg"
+            config_path.write_text(
+                fixture_config_text(
+                    str(root / "out"),
+                    input_paths="fixtures/docs",
+                    gazetteer_paths="fixtures/gazetteer.tsv",
+                    retrieval_enabled="true",
+                    support_paths="fixtures/docs",
+                ),
+                encoding="utf-8",
+            )
+            run_pipeline(load_config(str(config_path)))
+            out = root / "out"
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        # the echo holds absolute paths by design; timings are wall times
+        for files in runs:
+            del files["effective_config.cfg"], files["timings.json"]
+        assert set(runs[0]) == set(ARTIFACT_FILES)
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("top_k", [1, 3, 50])
     def test_stage_retrieve_matches_per_mention_ranking(self, tmp_path, top_k):
@@ -400,6 +462,31 @@ class TestCli:
         assert main([command, "--config", staged_cfg]) == 1
         assert capsys.readouterr().err.startswith(
             f"minprompt: error: {file_name}: malformed artifact"
+        )
+
+    @pytest.mark.parametrize(
+        "file_name, command", [("postings.jsonl", "select"), ("mentions.jsonl", "generate")]
+    )
+    def test_malformed_json_artifact_names_its_line(self, tmp_path, capsys, file_name, command):
+        staged_cfg = write_fixture_config(tmp_path)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        path = tmp_path / "out" / file_name
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"entity": "lakers", "sente\n')
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert main([command, "--config", staged_cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"minprompt: error: {file_name}: malformed artifact (ParseError: ")
+        assert f"{path}:{lineno}: malformed JSON" in err
+
+    @pytest.mark.parametrize("content", ['{"nodes": ', "{}"], ids=["truncated", "missing_keys"])
+    def test_stats_reports_malformed_stats_json(self, tmp_path, capsys, content):
+        (tmp_path / "stats.json").write_text(content, encoding="utf-8")
+        assert main(["stats", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "minprompt: error: stats.json: malformed artifact"
         )
 
     def test_seed_and_out_overrides(self, tmp_path):

@@ -243,7 +243,7 @@ def simple_corpus():
         "doc_a": "The Lakers moved to Los Angeles in 1960. The Celtics stayed in Boston.",
         "doc_b": "Chicago hosted the Bulls.",
     }
-    documents = {k: Document(k, "ds", v, k) for k, v in texts.items()}
+    documents = {k: Document(k, "ds", v) for k, v in texts.items()}
     sentences = [
         Sentence(0, "doc_a", (0, 41), "The Lakers moved to Los Angeles in 1960.", "corpus"),
         Sentence(1, "doc_a", (42, 72), "The Celtics stayed in Boston.", "corpus"),
@@ -283,8 +283,8 @@ class TestAssembleDataset:
     def test_duplicates_collapse(self):
         text = "Lakers forever."
         documents = {
-            "doc_a": Document("doc_a", "", text, ""),
-            "doc_b": Document("doc_b", "", text, ""),
+            "doc_a": Document("doc_a", "", text),
+            "doc_b": Document("doc_b", "", text),
         }
         sentences = [
             Sentence(0, "doc_a", (0, 15), text, "corpus"),
@@ -308,7 +308,7 @@ class TestAssembleDataset:
 
     def test_wh_question_containing_answer_skipped(self, caplog):
         text = "Paris loves Paris."
-        documents = {"d": Document("d", "", text, "")}
+        documents = {"d": Document("d", "", text)}
         sentences = [Sentence(0, "d", (0, 18), text, "corpus")]
         mentions = {0: [mention_at(text, "Paris", "GPE", occurrence=0)]}
         with caplog.at_level("INFO", logger="minprompt.qgen"):
