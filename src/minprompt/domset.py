@@ -1,24 +1,31 @@
-"""Greedy dominating-set approximation.
+"""Greedy dominating-set approximation (Johnson 1974 / Chvatal 1979).
 
-The greedy keeps a max-priority queue of uncovered nodes keyed by residual
-degree (count of currently uncovered neighbors). Covered nodes leave
-candidacy permanently. Priorities in the heap are corrected lazily: the
-residual-degree array is kept exact by decrements, and a popped entry
-whose stored priority is stale gets re-pushed with the current value.
-Ties break toward the smallest sentence id. Queue work is O(E log V) and
-auxiliary state is O(V).
+Each step selects the uncovered node with the most uncovered neighbors
+(its residual degree), the smallest sentence id on ties; covered nodes
+leave candidacy for good. Candidates wait in a bucket queue indexed by
+priority (Dial 1969). Residual degrees only decrease, so no entry is ever
+pushed into the bucket under the max pointer: each bucket is complete when
+the pointer reaches it and is sorted once for the smallest-id tie break.
+An entry whose residual dropped since it was pushed is re-pushed lazily
+into the bucket of its current residual. When the pointer reaches 0 every
+uncovered node covers only itself, so they are all selected in one step.
+
+After each selection the residual degrees of the neighbors of every newly
+covered node drop by one, in one pass of the graph's neighborhood kernel
+over the whole newly covered set, counting only keys that still have
+uncovered members. Queue work is O(V + E); auxiliary state is O(V + total
+posting length) plus one kernel chunk.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .sentgraph import SentenceGraph
+from .sentgraph import SentenceGraph, _run_starts
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
@@ -41,80 +48,106 @@ def approx_dominating_set(
     """Greedy selection of a dominating set over the posting-list graph.
 
     degree_mode='static' never updates priorities after the initial build
-    (comparison variant); check_steps scans the queue at every selection
-    to assert the popped node really has the maximum residual degree.
+    (comparison variant); check_steps scans the uncovered nodes at every
+    selection to assert the selected node really has the maximum residual
+    degree.
     """
     if degree_mode not in (DEGREE_RESIDUAL, DEGREE_STATIC):
         raise ValidationError(f"unknown degree mode {degree_mode!r}")
     n = graph.node_count
-    postings = graph.postings
-    node_keys = graph.node_keys
     covered = np.zeros(n, dtype=bool)
-    residual = graph.cached_degrees.astype(np.int64)
-    alive = {key: members.size for key, members in postings.items()}
+    residual = graph.cached_degrees.copy()
+    alive = np.diff(graph.key_indptr)  # uncovered members per key
+    live = alive > 0
     track_residual = degree_mode == DEGREE_RESIDUAL
 
-    heap = [(-int(d), v) for v, d in enumerate(graph.cached_degrees)]
-    heapq.heapify(heap)
-
+    # bucket d holds the nodes of static degree d in id order, then the
+    # re-pushed nodes whose residual fell to d
+    by_degree = np.argsort(graph.cached_degrees, kind="stable")
+    bucket_end = np.cumsum(np.bincount(graph.cached_degrees)).tolist() if n else [0]
+    pushed: dict[int, list[int]] = {}
+    uncovered = n
     selected: list[int] = []
-    while heap:
-        neg_priority, v = heapq.heappop(heap)
-        if covered[v]:
-            continue
-        if track_residual and -neg_priority != residual[v]:
-            heapq.heappush(heap, (-int(residual[v]), v))
-            continue
-        if check_steps and track_residual:
-            uncovered = ~covered
-            assert residual[v] == residual[uncovered].max(), (
-                f"popped node {v} with residual {residual[v]} but queue max is "
-                f"{residual[uncovered].max()}"
-            )
-        selected.append(v)
-
-        closed = graph.closed_neighborhood(v)
-        newly = closed[~covered[closed]]
-        covered[newly] = True
-        # alive[k] tracks k's uncovered member count; decrement for every
-        # newly covered member before the neighbor scans below rely on it.
-        for u in newly.tolist():
-            for key in node_keys[u]:
-                alive[key] -= 1
-        if track_residual:
-            for u in newly.tolist():
-                live = [postings[k] for k in node_keys[u] if alive[k] > 0]
-                if not live:
-                    continue
-                union = live[0] if len(live) == 1 else np.unique(np.concatenate(live))
-                targets = union[~covered[union]]
-                residual[targets] -= 1
+    for level in range(len(bucket_end) - 1, 0, -1):
+        if not uncovered:
+            break
+        bucket = by_degree[bucket_end[level - 1] : bucket_end[level]]
+        if level in pushed:
+            bucket = np.sort(np.concatenate([bucket, pushed.pop(level)]))
+        for v in bucket[~covered[bucket]].tolist():
+            if covered[v]:
+                continue
+            if track_residual and residual[v] != level:
+                if residual[v]:  # residual 0 waits for the final step
+                    pushed.setdefault(int(residual[v]), []).append(v)
+                continue
+            if check_steps and track_residual:
+                peak = residual[~covered].max()
+                assert residual[v] == peak, (
+                    f"popped node {v} with residual {residual[v]} but queue max is {peak}"
+                )
+            selected.append(v)
+            closed = graph.closed_neighborhood(v)
+            newly = closed[~covered[closed]]
+            covered[newly] = True
+            uncovered -= newly.size
+            if track_residual:
+                touched = graph._keys_of(newly)
+                np.subtract.at(alive, touched, 1)
+                live[touched] = alive[touched] > 0
+                _drop_residuals(graph, newly, live, covered, residual)
+    # every node still uncovered has no uncovered neighbor left
+    chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
 
     selset = np.zeros(n, dtype=bool)
-    if selected:
-        selset[np.array(selected, dtype=np.int64)] = True
-    uncovered_entities = sum(
-        1 for members in postings.values() if not selset[members].any()
-    )
+    selset[chosen] = True
+    uncovered_entities = 0
+    if graph.keys:
+        represented = np.logical_or.reduceat(selset[graph.key_members], graph.key_indptr[:-1])
+        uncovered_entities = int(represented.size - represented.sum())
     return DominatingSetResult(
-        selected=tuple(sorted(selected)),
-        iterations=len(selected),
+        selected=tuple(chosen.tolist()),
+        iterations=int(chosen.size),
         max_degree=graph.max_degree(),
-        covered=int(covered.sum()),
+        covered=n,
         uncovered_entities=uncovered_entities,
     )
+
+
+def _drop_residuals(
+    graph: SentenceGraph,
+    newly: np.ndarray,
+    live: np.ndarray,
+    covered: np.ndarray,
+    residual: np.ndarray,
+) -> None:
+    """Decrement, once per newly covered neighbor, each uncovered node's residual."""
+    hub, chunks = graph._neighbor_codes(newly, live)
+    for _, w in chunks:
+        np.subtract.at(residual, w[~covered[w]], 1)
+    # each newly covered node also neighbors every member of its hub key
+    hubs = np.sort(hub[hub >= 0])
+    if not hubs.size:
+        return
+    first = np.flatnonzero(_run_starts(hubs))
+    members, lengths = graph._members_of(hubs[first])
+    weights = np.repeat(np.append(first[1:], hubs.size) - first, lengths)
+    open_ = ~covered[members]
+    np.subtract.at(residual, members[open_], weights[open_])
 
 
 def is_dominating_set(graph: SentenceGraph, candidate) -> bool:
     """True iff every node is in the candidate set or adjacent to a member."""
     n = graph.node_count
-    ids = list(candidate)
-    for v in ids:
-        if not 0 <= v < n:
-            raise ValidationError(f"candidate id {v} out of range 0..{n - 1}")
+    ids = np.fromiter(candidate, dtype=np.int64)
+    out = (ids < 0) | (ids >= n)
+    if out.any():
+        raise ValidationError(f"candidate id {ids[out.argmax()]} out of range 0..{n - 1}")
     dominated = np.zeros(n, dtype=bool)
-    for v in ids:
-        dominated[graph.closed_neighborhood(v)] = True
+    dominated[ids] = True
+    keys = np.zeros(len(graph.keys), dtype=bool)
+    keys[graph._keys_of(ids)] = True
+    dominated[graph._members_of(np.flatnonzero(keys))[0]] = True
     return bool(dominated.all())
 
 

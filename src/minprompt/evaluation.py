@@ -36,14 +36,24 @@ def evaluate_files(pred_path: str, gold_path: str) -> dict:
     """Score line-paired JSONL files: {"prediction": str} vs {"answers": [str...]}."""
     predictions: list[str] = []
     for lineno, record in iter_jsonl(pred_path):
-        if "prediction" not in record:
-            raise ValidationError(f"{pred_path}:{lineno}: missing 'prediction'")
-        predictions.append(record["prediction"])
+        prediction = record.get("prediction") if isinstance(record, dict) else None
+        if not isinstance(prediction, str):
+            raise ValidationError(
+                f"{pred_path}:{lineno}: expected an object with a string 'prediction'"
+            )
+        predictions.append(prediction)
     golds: list[list[str]] = []
     for lineno, record in iter_jsonl(gold_path):
-        answers = record.get("answers")
-        if not isinstance(answers, list) or not answers:
-            raise ValidationError(f"{gold_path}:{lineno}: missing non-empty 'answers'")
+        answers = record.get("answers") if isinstance(record, dict) else None
+        if (
+            not isinstance(answers, list)
+            or not answers
+            or not all(isinstance(answer, str) for answer in answers)
+        ):
+            raise ValidationError(
+                f"{gold_path}:{lineno}: expected an object with a non-empty 'answers' list"
+                " of strings"
+            )
         golds.append(answers)
     if len(predictions) != len(golds):
         raise ValidationError(

@@ -66,6 +66,17 @@ class AugmentedSample:
     provenance: Provenance
 
 
+def _is_prior(entry) -> bool:
+    """A [bigram, probability] pair as JSON decodes it."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], (int, float))
+        and not isinstance(entry[1], bool)
+    )
+
+
 class WhPriors:
     """Per entity type, a distribution over question-opening bigrams."""
 
@@ -90,8 +101,20 @@ class WhPriors:
 
     @classmethod
     def from_file(cls, path: str) -> "WhPriors":
+        """Priors from a JSON object mapping each entity type to a list of
+        [bigram, probability] pairs; a file of any other shape names its path."""
         raw = read_json(path)
-        return cls({etype: [(b, float(p)) for b, p in entries] for etype, entries in raw.items()})
+        if not isinstance(raw, dict) or not all(
+            isinstance(entries, list) and all(_is_prior(entry) for entry in entries)
+            for entries in raw.values()
+        ):
+            raise ValidationError(
+                f"{path}: priors must map each entity type to a list of [bigram, probability] pairs"
+            )
+        try:
+            return cls({etype: [(b, float(p)) for b, p in pairs] for etype, pairs in raw.items()})
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "WhPriors":

@@ -1,14 +1,34 @@
 """Entity-coreference sentence graph over implicit posting lists.
 
 Sentences sharing an entity key form a clique, so the graph is stored as
-one posting list per key plus the per-node key lists. Degrees, neighbor
-sets and edge counts are answered from the postings; the clique-expanded
-edge list is never materialized (real corpora reach 1e8+ implicit edges).
-Auxiliary memory stays O(V + total posting length).
+its posting lists, never as edges (real corpora reach 1e8+ implicit
+edges). Keys are interned to ints in sorted order and both directions are
+CSR integer arrays: key k's sorted member ids are
+``key_members[key_indptr[k]:key_indptr[k + 1]]`` and node v's sorted key
+ids are ``node_keys[node_indptr[v]:node_indptr[v + 1]]``.
+
+The build interns the sorted keys once and fills both directions in bulk:
+one sort of the ``key * V + member`` codes, adjacent duplicates dropped,
+`bincount` for the row pointers.
+
+Degrees and the greedy's residual updates come from one kernel,
+`SentenceGraph._neighbor_codes`. It splits an owner node's closed
+neighborhood into the members of its longest key, which it never expands,
+and the rest: the owner's other postings, expanded into
+``owner * V + member`` codes in chunks of about `_CHUNK_CODES` codes (one
+owner is never split across chunks), made distinct by a sort and an
+adjacent-difference mask, minus the members of the longest key (is that
+key in the member's own short key row?). So a one-key node costs O(1) even
+inside a megaclique, and a hub member pays only for its other keys. No
+edge list is ever materialized: memory stays O(V + total posting length)
+plus one chunk.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +45,15 @@ SCOPES = (SCOPE_CORPUS, SCOPE_DOCUMENT)
 # Separates doc_id from entity key when edges are scoped per document.
 _SCOPE_SEP = "\x00"
 
+# Codes expanded per kernel chunk: bounds the kernel's working memory
+# (2**21 codes per chunk cost ~100 MB more peak RSS than 2**15 at no gain).
+_CHUNK_CODES = 1 << 15
+
+# A sentence mentions few entities: node rows up to this many keys are
+# checked by direct comparison, four times faster than a binary search in
+# the node-key pairs on the select_hubs workload; longer rows are searched.
+_SHORT_ROW = 4
+
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -35,56 +64,211 @@ class GraphStats:
     isolated_nodes: int
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges start .. start + length - 1, in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values begins."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _intern(node_count: int, postings: dict[str, list[int] | np.ndarray]):
+    """Sorted key names, then the key -> member and node -> key CSR arrays."""
+    keys = [key for key in sorted(postings) if len(postings[key])]
+    lengths = np.fromiter((len(postings[key]) for key in keys), dtype=np.int64, count=len(keys))
+    ids = np.fromiter(
+        itertools.chain.from_iterable(postings[key] for key in keys),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    bad = (ids < 0) | (ids >= node_count)
+    if bad.any():
+        key = keys[int(np.searchsorted(np.cumsum(lengths), bad.argmax(), side="right"))]
+        raise ValidationError(
+            f"posting list for {key!r} references ids outside 0..{node_count - 1}"
+        )
+    # one sort of key * V + member orders the pairs key-major and
+    # drops duplicates as adjacent equal codes
+    codes = np.repeat(np.arange(len(keys), dtype=np.int64) * node_count, lengths)
+    codes += ids
+    del ids  # freed before the next allocations: they set the build's peak memory
+    codes.sort()
+    key_ids, members = np.divmod(codes[_run_starts(codes)], max(node_count, 1))
+    del codes
+    key_indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_ids, minlength=len(keys)), out=key_indptr[1:])
+    node_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(members, minlength=node_count), out=node_indptr[1:])
+    # stable: each node's keys keep their ascending key-major order
+    node_keys = key_ids[np.argsort(members, kind="stable")]
+    return keys, key_indptr, members, node_indptr, node_keys
+
+
+class Postings(Mapping):
+    """Read-only mapping of each key to the sorted array view of its members."""
+
+    def __init__(self, keys: list[str], indptr: np.ndarray, members: np.ndarray):
+        self._keys = keys
+        self._indptr = indptr
+        self._members = members
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        k = bisect_left(self._keys, key)
+        if k == len(self._keys) or self._keys[k] != key:
+            raise KeyError(key)
+        return self._members[self._indptr[k] : self._indptr[k + 1]]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class SentenceGraph:
     """Implicit undirected graph: u ~ v iff they share an entity key.
 
-    postings maps each key to a sorted, duplicate-free int array of
-    sentence ids; node_keys lists each node's keys in sorted order;
-    cached_degrees[v] counts distinct neighbors of v.
+    keys holds the sorted key names; key k has id k. postings maps each
+    key to its sorted, duplicate-free member ids; cached_degrees[v] counts
+    distinct neighbors of v.
     """
 
     def __init__(
         self,
         node_count: int,
-        postings: dict[str, np.ndarray],
-        node_keys: list[tuple[str, ...]],
-        cached_degrees: np.ndarray,
+        keys: list[str],
+        key_indptr: np.ndarray,
+        key_members: np.ndarray,
+        node_indptr: np.ndarray,
+        node_keys: np.ndarray,
     ):
         self.node_count = node_count
-        self.postings = postings
+        self.keys = keys
+        self.key_indptr = key_indptr
+        self.key_members = key_members
+        self.node_indptr = node_indptr
         self.node_keys = node_keys
-        self.cached_degrees = cached_degrees
+        for array in (key_indptr, key_members, node_indptr, node_keys):
+            array.flags.writeable = False
+        self.postings = Postings(keys, key_indptr, key_members)
+        # (node, key) pairs as node * K + key, ascending: the membership index
+        self._pair_codes = (
+            np.repeat(np.arange(node_count, dtype=np.int64), np.diff(node_indptr)) * len(keys)
+            + node_keys
+        )
+        self.cached_degrees = self._degrees()
 
     @classmethod
     def from_postings(cls, node_count: int, postings: dict[str, list[int] | np.ndarray]):
         """Build from raw key -> member-id lists (members deduped and sorted)."""
-        clean: dict[str, np.ndarray] = {}
-        keys_per_node: list[list[str]] = [[] for _ in range(node_count)]
-        for key in sorted(postings):
-            members = np.unique(np.asarray(postings[key], dtype=np.int64))
-            if members.size == 0:
-                continue
-            if members[0] < 0 or members[-1] >= node_count:
-                raise ValidationError(
-                    f"posting list for {key!r} references ids outside 0..{node_count - 1}"
-                )
-            clean[key] = members
-            for sid in members.tolist():
-                keys_per_node[sid].append(key)
-        node_keys = [tuple(sorted(keys)) for keys in keys_per_node]
-        degrees = _compute_degrees(node_count, clean, node_keys)
-        return cls(node_count, clean, node_keys, degrees)
+        return cls(node_count, *_intern(node_count, postings))
+
+    def _keys_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Key ids of every node in `nodes`, node by node."""
+        starts = self.node_indptr[nodes]
+        return self.node_keys[_ranges(starts, self.node_indptr[nodes + 1] - starts)]
+
+    def _members_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Member ids of every key in `keys`, key by key, and each key's length."""
+        starts = self.key_indptr[keys]
+        lengths = self.key_indptr[keys + 1] - starts
+        return self.key_members[_ranges(starts, lengths)], lengths
+
+    def _neighbor_codes(self, owners: np.ndarray, live: np.ndarray | None = None):
+        """The kernel: the closed neighborhoods of the distinct `owners`.
+
+        Only keys where the boolean key mask `live` is set count, all keys
+        without it. Returns (hub, chunks): hub[i] is the longest such key
+        of owners[i], -1 if it has none; chunks yields (i, w) array pairs,
+        sorted by i then w, one pair per distinct w that is in another such
+        key of owners[i] but not in hub[i]. The closed neighborhood of
+        owners[i] is the members of hub[i] plus its w.
+        """
+        key_count = len(self.keys)
+        keys = self._keys_of(owners)
+        owner = np.repeat(
+            np.arange(owners.size, dtype=np.int64),
+            self.node_indptr[owners + 1] - self.node_indptr[owners],
+        )
+        if live is not None:
+            keep = live[keys]
+            keys, owner = keys[keep], owner[keep]
+        lengths = self.key_indptr[keys + 1] - self.key_indptr[keys]
+        hub = np.full(owners.size, -1, dtype=np.int64)
+        if not keys.size:
+            return hub, iter(())
+        first = np.flatnonzero(_run_starts(owner))
+        # the longest key, the larger id on ties; any key would be correct
+        hub[owner[first]] = np.maximum.reduceat(lengths * key_count + keys, first) % key_count
+        rest = keys != hub[owner]
+        return hub, self._chunks(owner[rest], keys[rest], lengths[rest], hub)
+
+    def _chunks(self, owner: np.ndarray, keys: np.ndarray, lengths: np.ndarray, hub: np.ndarray):
+        n = self.node_count
+        ends = np.flatnonzero(np.append(owner[1:] != owner[:-1], True)) + 1 if owner.size else owner
+        expanded = np.cumsum(lengths)
+        expanded_at_end = expanded[ends - 1]
+        cut = 0
+        while cut < ends.size:
+            a = int(ends[cut - 1]) if cut else 0
+            budget = (int(expanded[a - 1]) if a else 0) + _CHUNK_CODES
+            cut = max(cut + 1, int(np.searchsorted(expanded_at_end, budget, side="right")))
+            b = int(ends[cut - 1])
+            members, sizes = self._members_of(keys[a:b])
+            codes = np.repeat(owner[a:b], sizes) * n + members
+            codes.sort()
+            i, w = np.divmod(codes[_run_starts(codes)], n)
+            outside = ~self._has_key(w, hub[i])
+            yield i[outside], w[outside]
+
+    def _has_key(self, nodes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Mask: is keys[j] one of the keys of nodes[j]?"""
+        first = self.node_indptr[nodes]
+        last = self.node_indptr[nodes + 1] - 1
+        found = self.node_keys[first] == keys
+        for j in range(1, _SHORT_ROW):
+            found |= self.node_keys[np.minimum(first + j, last)] == keys
+        long = np.flatnonzero(last - first >= _SHORT_ROW)
+        if long.size:
+            pairs = nodes[long] * len(self.keys) + keys[long]
+            pos = np.searchsorted(self._pair_codes, pairs)
+            found[long] = self._pair_codes[np.minimum(pos, self._pair_codes.size - 1)] == pairs
+        return found
+
+    def _degrees(self) -> np.ndarray:
+        n = self.node_count
+        degrees = np.zeros(n, dtype=np.int64)
+        # blocks of owners keep the kernel's per-(owner, key) arrays small too
+        for lo in range(0, n, _CHUNK_CODES):
+            owners = np.arange(lo, min(lo + _CHUNK_CODES, n), dtype=np.int64)
+            hub, chunks = self._neighbor_codes(owners)
+            has = np.flatnonzero(hub >= 0)
+            hubs = hub[has]
+            degrees[lo + has] = self.key_indptr[hubs + 1] - self.key_indptr[hubs] - 1
+            for i, _ in chunks:
+                if i.size:
+                    counts = np.bincount(i - i[0])
+                    degrees[lo + i[0] : lo + i[0] + counts.size] += counts
+        return degrees
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """Sorted ids of v plus every neighbor of v."""
         if not 0 <= v < self.node_count:
             raise ValidationError(f"node {v} out of range 0..{self.node_count - 1}")
-        keys = self.node_keys[v]
-        if not keys:
+        keys = self.node_keys[self.node_indptr[v] : self.node_indptr[v + 1]]
+        if not keys.size:
             return np.array([v], dtype=np.int64)
-        if len(keys) == 1:
-            return self.postings[keys[0]]
-        return np.unique(np.concatenate([self.postings[k] for k in keys]))
+        if keys.size == 1:
+            return self.key_members[self.key_indptr[keys[0]] : self.key_indptr[keys[0] + 1]]
+        members = self._members_of(keys)[0]
+        members.sort()
+        return members[_run_starts(members)]
 
     def neighbors(self, v: int) -> list[int]:
         closed = self.closed_neighborhood(v)
@@ -108,32 +292,10 @@ class SentenceGraph:
         return GraphStats(
             nodes=self.node_count,
             edges=self.edge_count(),
-            entities=len(self.postings),
+            entities=len(self.keys),
             max_degree=self.max_degree(),
             isolated_nodes=int((self.cached_degrees == 0).sum()) if self.node_count else 0,
         )
-
-
-def _compute_degrees(
-    node_count: int, postings: dict[str, np.ndarray], node_keys: list[tuple[str, ...]]
-) -> np.ndarray:
-    """Per-node k-way union of its posting lists; subtract the node itself.
-
-    Single-key nodes skip the union: their posting list is already the
-    closed neighborhood. That keeps one-entity megacliques O(V) instead of
-    O(V * clique size).
-    """
-    degrees = np.zeros(node_count, dtype=np.int64)
-    for v in range(node_count):
-        keys = node_keys[v]
-        if not keys:
-            continue
-        if len(keys) == 1:
-            degrees[v] = len(postings[keys[0]]) - 1
-        else:
-            union = np.unique(np.concatenate([postings[k] for k in keys]))
-            degrees[v] = union.size - 1
-    return degrees
 
 
 def build_graph(
@@ -168,9 +330,11 @@ def build_graph(
 
 
 def write_postings_dump(graph: SentenceGraph, path: str) -> None:
-    """Debug dump: one JSON line per entity key with its sentence ids."""
-    postings = graph.postings
-    write_jsonl(({"entity": k, "sentences": postings[k].tolist()} for k in sorted(postings)), path)
+    """Debug dump: one JSON line per entity key, in key order, with its sentence ids."""
+    write_jsonl(
+        ({"entity": k, "sentences": members.tolist()} for k, members in graph.postings.items()),
+        path,
+    )
 
 
 def read_postings_dump(path: str, node_count: int) -> SentenceGraph:

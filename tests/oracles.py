@@ -7,9 +7,12 @@ between the two is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
+
+import numpy as np
 
 from minprompt.corpus import _is_abbreviation
 from minprompt.entities import _SRC_GAZETTEER, _on_token_boundary
@@ -79,6 +82,84 @@ def reference_greedy(adj: list[list[bool]]) -> list[int]:
             covered[u] = True
             candidate[u] = False
     return sorted(selected)
+
+
+class DictGraph:
+    """The posting-list graph as string-keyed dicts: key -> sorted unique
+    member array, and per node the sorted tuple of its keys. Degrees come
+    from a per-node union loop; the single-key shortcut keeps megacliques
+    O(V)."""
+
+    def __init__(self, node_count: int, postings: dict):
+        self.node_count = node_count
+        self.postings: dict[str, np.ndarray] = {}
+        keys_per_node: list[list[str]] = [[] for _ in range(node_count)]
+        for key in sorted(postings):
+            members = np.unique(np.asarray(postings[key], dtype=np.int64))
+            if members.size == 0:
+                continue
+            self.postings[key] = members
+            for sid in members.tolist():
+                keys_per_node[sid].append(key)
+        self.node_keys = [tuple(sorted(keys)) for keys in keys_per_node]
+        self.degrees = np.zeros(node_count, dtype=np.int64)
+        for v, keys in enumerate(self.node_keys):
+            if keys:
+                self.degrees[v] = self.closed_neighborhood(v).size - 1
+
+    def closed_neighborhood(self, v: int) -> np.ndarray:
+        keys = self.node_keys[v]
+        if not keys:
+            return np.array([v], dtype=np.int64)
+        if len(keys) == 1:
+            return self.postings[keys[0]]
+        return np.unique(np.concatenate([self.postings[k] for k in keys]))
+
+
+def heap_dominating_set(graph: DictGraph, degree_mode: str = "residual") -> dict:
+    """Greedy with a lazy max-heap and per-node union loops for the
+    residual updates; the same selection rule as domset's bucket queue.
+
+    Returns selected (ascending), covered and uncovered_entities.
+    """
+    n = graph.node_count
+    postings, node_keys = graph.postings, graph.node_keys
+    covered = np.zeros(n, dtype=bool)
+    residual = graph.degrees.copy()
+    alive = {key: members.size for key, members in postings.items()}
+    track_residual = degree_mode == "residual"
+    heap = [(-int(d), v) for v, d in enumerate(graph.degrees)]
+    heapq.heapify(heap)
+    selected: list[int] = []
+    while heap:
+        neg_priority, v = heapq.heappop(heap)
+        if covered[v]:
+            continue
+        if track_residual and -neg_priority != residual[v]:
+            heapq.heappush(heap, (-int(residual[v]), v))
+            continue
+        selected.append(v)
+        closed = graph.closed_neighborhood(v)
+        newly = closed[~covered[closed]]
+        covered[newly] = True
+        for u in newly.tolist():
+            for key in node_keys[u]:
+                alive[key] -= 1
+        if track_residual:
+            for u in newly.tolist():
+                live = [postings[k] for k in node_keys[u] if alive[k] > 0]
+                if not live:
+                    continue
+                union = live[0] if len(live) == 1 else np.unique(np.concatenate(live))
+                targets = union[~covered[union]]
+                residual[targets] -= 1
+    selset = np.zeros(n, dtype=bool)
+    selset[selected] = True
+    return {
+        "selected": tuple(sorted(selected)),
+        "covered": int(covered.sum()),
+        "uncovered_entities": sum(1 for m in postings.values() if not selset[m].any()),
+    }
 
 
 def brute_force_dominating_set(graph: SentenceGraph) -> list[int]:

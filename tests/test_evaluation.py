@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -97,3 +98,19 @@ class TestEvaluateFiles:
         gold = self.write(tmp_path / "gold.jsonl", [{"answers": ["a"]}])
         with pytest.raises(ValidationError, match="prediction"):
             evaluate_files(pred, gold)
+
+    @pytest.mark.parametrize("line", ['["a"]', '"a"', '{"answers": [1]}'])
+    def test_gold_line_that_is_not_an_answers_object_names_its_line(self, tmp_path, line):
+        pred = self.write(tmp_path / "pred.jsonl", [{"prediction": "a"}, {"prediction": "b"}])
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"answers": ["a"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(gold))}:2: "):
+            evaluate_files(pred, str(gold))
+
+    @pytest.mark.parametrize("line", ["5", '["a"]', '{"prediction": null}'])
+    def test_prediction_line_that_is_not_a_prediction_object_names_its_line(self, tmp_path, line):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(line + "\n", encoding="utf-8")
+        gold = self.write(tmp_path / "gold.jsonl", [{"answers": ["a"]}])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(pred))}:1: "):
+            evaluate_files(str(pred), gold)

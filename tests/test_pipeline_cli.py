@@ -555,6 +555,25 @@ class TestCli:
         gold.write_text('{"answers": ["a"]}\n', encoding="utf-8")
         assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
 
+    @pytest.mark.parametrize(
+        "pred_line, gold_line, bad",
+        [('{"prediction": "a"}', '["a"]', "gold"), ("5", '{"answers": ["a"]}', "pred")],
+    )
+    def test_eval_non_object_line_exits_2(self, tmp_path, capsys, pred_line, gold_line, bad):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text(pred_line + "\n", encoding="utf-8")
+        gold.write_text(gold_line + "\n", encoding="utf-8")
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+        assert f"{tmp_path / bad}.jsonl:1: " in capsys.readouterr().err
+
+    def test_priors_file_of_wrong_shape_exits_2(self, tmp_path, capsys):
+        priors = tmp_path / "priors.json"
+        priors.write_text("[]\n", encoding="utf-8")
+        path = write_fixture_config(tmp_path, priors_path=str(priors))
+        assert main(["run", "--config", path]) == 2
+        assert f"{priors}: priors must map" in capsys.readouterr().err
+
     def test_zero_sample_run_warns_but_succeeds(self, tmp_path, capsys):
         doc = tmp_path / "docs" / "plain.txt"
         doc.parent.mkdir()

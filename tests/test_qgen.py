@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import string
 
 import pytest
@@ -132,6 +133,23 @@ class TestWhSampling:
         path = tmp_path / "priors.json"
         path.write_text(json.dumps({"GPE": [["where did", 1.0]]}), encoding="utf-8")
         assert WhPriors.from_file(str(path)).table["GPE"] == [("where did", 1.0)]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"GPE": "where did"},
+            {"GPE": [["where did"]]},
+            {"GPE": [["where did", "1.0"]]},
+            {"GPE": [[1, 1.0]]},
+            {"GPE": [["where did", 0.5]]},
+        ],
+    )
+    def test_malformed_priors_file_names_its_path(self, tmp_path, payload):
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            WhPriors.from_file(str(path))
 
 
 class TestGenerateWh:

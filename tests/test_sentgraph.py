@@ -108,6 +108,13 @@ class TestQueries:
         with pytest.raises(ValidationError):
             graph.degree(-1)
 
+    def test_out_of_range_posting_ids_rejected(self):
+        # the first key in key order with a bad id is named
+        with pytest.raises(ValidationError, match="'b' references ids outside 0..2"):
+            graph_of(3, {"c": [-1], "a": [0, 1], "b": [2, 3]})
+        with pytest.raises(ValidationError, match="'a'"):
+            graph_of(3, {"a": [1, -1]})
+
     def test_edge_count_examples(self):
         assert graph_of(4, {"a": [0, 1, 2], "b": [2, 3]}).edge_count() == 4
         assert graph_of(3, {}).edge_count() == 0
