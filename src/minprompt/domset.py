@@ -43,14 +43,11 @@ class DominatingSetResult:
 def approx_dominating_set(
     graph: SentenceGraph,
     degree_mode: str = DEGREE_RESIDUAL,
-    check_steps: bool = False,
 ) -> DominatingSetResult:
     """Greedy selection of a dominating set over the posting-list graph.
 
     degree_mode='static' never updates priorities after the initial build
-    (comparison variant); check_steps scans the uncovered nodes at every
-    selection to assert the selected node really has the maximum residual
-    degree.
+    (comparison variant).
     """
     if degree_mode not in (DEGREE_RESIDUAL, DEGREE_STATIC):
         raise ValidationError(f"unknown degree mode {degree_mode!r}")
@@ -81,11 +78,6 @@ def approx_dominating_set(
                 if residual[v]:  # residual 0 waits for the final step
                     pushed.setdefault(int(residual[v]), []).append(v)
                 continue
-            if check_steps and track_residual:
-                peak = residual[~covered].max()
-                assert residual[v] == peak, (
-                    f"popped node {v} with residual {residual[v]} but queue max is {peak}"
-                )
             selected.append(v)
             closed = graph.closed_neighborhood(v)
             newly = closed[~covered[closed]]

@@ -10,13 +10,15 @@ overlap-resolution step, so they emit mentions with identical invariants.
 from __future__ import annotations
 
 import bisect
+import http.client
+import json
 import re
 import time
+import urllib.error
+import urllib.request
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from .corpus import Sentence
 from .errors import PipelineError, ValidationError
@@ -51,6 +53,9 @@ MODE_SIDECAR = "sidecar"
 MODE_SERVICE = "service"
 MODES = (MODE_BUILTIN, MODE_SIDECAR, MODE_SERVICE)
 
+# seconds before a service batch's second attempt; doubled before the third
+RETRY_BASE_DELAY = 0.5
+
 
 def wh_family(entity_type: str) -> str:
     """Map an entity type to its interrogative family ('what' by default)."""
@@ -81,7 +86,6 @@ class RecognizerConfig:
     service_timeout: float = 10.0
     service_batch_size: int = 64
     max_in_flight: int = 4
-    retry_base_delay: float = 0.5
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -363,13 +367,12 @@ def recognize_service(
     timeout: float = 10.0,
     batch_size: int = 64,
     max_in_flight: int = 4,
-    retry_base_delay: float = 0.5,
 ) -> dict[int, list[EntityMention]]:
     """POST sentence batches to an HTTP recognizer and validate the replies.
 
-    A batch gets three attempts with exponential backoff between them before
-    the whole pipeline is failed; a 4xx reply fails it at once. A reply may
-    only name sentences of its own batch.
+    A batch gets three attempts, RETRY_BASE_DELAY and then twice that apart,
+    before the whole pipeline is failed; a 4xx reply fails it at once. A
+    reply may only name sentences of its own batch.
     """
     batches = [
         sentences[i : i + batch_size] for i in range(0, len(sentences), batch_size)
@@ -377,22 +380,28 @@ def recognize_service(
 
     def fetch(batch: list[Sentence]) -> list[dict]:
         payload = {"sentences": [{"id": s.sentence_id, "text": s.text} for s in batch]}
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(3):
             if attempt:
-                time.sleep(retry_base_delay * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BASE_DELAY * (2 ** (attempt - 1)))
             try:
-                response = requests.post(endpoint, json=payload, timeout=timeout)
-                if 400 <= response.status_code < 500:
+                request = urllib.request.Request(
+                    endpoint, data=data, headers={"Content-Type": "application/json"}
+                )
+                with urllib.request.urlopen(request, timeout=timeout) as response:
+                    body = json.loads(response.read())
+                break
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if 400 <= exc.code < 500:
                     # the request itself was refused; sending it again cannot help
                     raise PipelineError(
-                        f"recognizer service {endpoint} rejected a batch: "
-                        f"HTTP {response.status_code}"
-                    )
-                response.raise_for_status()
-                body = response.json()
-                break
-            except (requests.RequestException, ValueError) as exc:
+                        f"recognizer service {endpoint} rejected a batch: HTTP {exc.code}"
+                    ) from None
+                last_error = exc
+            # OSError covers URLError and timeouts; ValueError a body that is not JSON
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = exc
         else:
             raise PipelineError(
@@ -438,7 +447,6 @@ def recognize(
         timeout=config.service_timeout,
         batch_size=config.service_batch_size,
         max_in_flight=config.max_in_flight,
-        retry_base_delay=config.retry_base_delay,
     )
 
 

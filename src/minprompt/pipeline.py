@@ -46,8 +46,6 @@ from .qgen import RetrievedContext, WhPriors
 
 STYLE_CHOICES = ("wh", "cloze", "both")
 
-WORKERS_ENV = "MINPROMPT_WORKERS"
-
 CONFIG_ECHO_NAME = "effective_config.cfg"
 
 
@@ -89,20 +87,6 @@ class PipelineConfig:
             return (qgen_mod.STYLE_CLOZE, qgen_mod.STYLE_WH)
         return (self.question_style,)
 
-    def effective_workers(self) -> int:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"{WORKERS_ENV}={env!r} is not an integer") from exc
-            if value < 1:
-                raise ValidationError(f"{WORKERS_ENV} must be >= 1")
-            return value
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
-
     def recognizer_config(self) -> RecognizerConfig:
         return RecognizerConfig(
             mode=self.recognizer_mode,
@@ -111,7 +95,7 @@ class PipelineConfig:
             service_endpoint=self.service_endpoint,
             service_timeout=self.service_timeout,
             service_batch_size=self.service_batch_size,
-            max_in_flight=min(4, self.effective_workers()),
+            max_in_flight=min(4, self.workers or os.cpu_count() or 1),
         )
 
     def validate(self) -> None:

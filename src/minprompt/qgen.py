@@ -123,7 +123,7 @@ class WhPriors:
 
 
 def derive_seed(global_seed: int, sentence_id: int, mention_start: int) -> int:
-    """Stable per-sample RNG seed; parallel and serial runs agree."""
+    """Stable per-sample RNG seed from the run seed and the mention's position."""
     tag = f"{global_seed}:{sentence_id}:{mention_start}".encode("utf-8")
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .entities import EntityMention
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .fileio import iter_jsonl, write_jsonl
 
 SCOPE_CORPUS = "corpus"
@@ -338,6 +338,20 @@ def write_postings_dump(graph: SentenceGraph, path: str) -> None:
 
 
 def read_postings_dump(path: str, node_count: int) -> SentenceGraph:
-    """Rebuild a graph from a postings dump plus the node count."""
-    raw = {record["entity"]: record["sentences"] for _, record in iter_jsonl(path)}
+    """Rebuild a graph from a postings dump plus the node count.
+
+    A line that is not {"entity": str, "sentences": [int, ...]} raises
+    ParseError naming it; no id is cast, so 0.7, "0" and true are rejected.
+    """
+    raw = {}
+    for lineno, record in iter_jsonl(path):
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}:{lineno}: a postings line must be an object")
+        entity, ids = record.get("entity"), record.get("sentences")
+        if not isinstance(entity, str):
+            raise ParseError(f"{path}:{lineno}: 'entity' must be a string")
+        # exact types: bool is an int subclass
+        if not isinstance(ids, list) or not {int}.issuperset(map(type, ids)):
+            raise ParseError(f"{path}:{lineno}: 'sentences' must be a list of ints")
+        raw[entity] = ids
     return SentenceGraph.from_postings(node_count, raw)

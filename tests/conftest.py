@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
+from minprompt import entities
 from minprompt.corpus import Sentence
 from minprompt.entities import EntityMention, normalize_key
 
@@ -89,6 +92,18 @@ class RecognizerHandler(BaseHTTPRequestHandler):
             self.send_response(400)
             self.end_headers()
             return
+        if cls.behavior == "slow":
+            # hangs up without a reply; requests queued behind this one wait too
+            time.sleep(0.2)
+            return
+        if cls.behavior == "not_json":
+            body = b"<html>busy</html>"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            return
         mentions = []
         if cls.behavior == "always_sentence_0":
             # a valid record for sentence 0, whatever the batch holds
@@ -125,9 +140,18 @@ class RecognizerHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
+def backoff_sleeps(monkeypatch):
+    """The delays the service client sleeps between attempts, recorded
+    instead of slept."""
+    delays: list[float] = []
+    monkeypatch.setattr(entities, "time", SimpleNamespace(sleep=delays.append))
+    return delays
+
+
+@pytest.fixture
 def recognizer_service():
     server = HTTPServer(("127.0.0.1", 0), RecognizerHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     RecognizerHandler.behavior = "echo_empty"
     RecognizerHandler.failures_left = 0

@@ -77,7 +77,7 @@ def test_criterion_01_figure_replication(lakers_sentences):
             frozenset((1, 2)),
             frozenset((2, 3)),
         }
-        result = approx_dominating_set(graph, check_steps=True)
+        result = approx_dominating_set(graph)
         assert result.selected == (2,)  # s3
         assert len(brute_force_dominating_set(graph)) == 1
         assert time.perf_counter() - start < 1.0

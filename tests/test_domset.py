@@ -28,7 +28,7 @@ FIGURE_POSTINGS = {"lakers": [0, 1, 2], "arena": [2, 3]}
 class TestGreedy:
     def test_shared_entity_fixture_selects_the_hub(self):
         graph = graph_of(4, FIGURE_POSTINGS)
-        result = approx_dominating_set(graph, check_steps=True)
+        result = approx_dominating_set(graph)
         assert result.selected == (2,)
         assert result.covered == 4
         assert result.iterations == 1
@@ -41,7 +41,7 @@ class TestGreedy:
 
     def test_path_of_four(self):
         graph = graph_of(4, {"a": [0, 1], "b": [1, 2], "c": [2, 3]})
-        result = approx_dominating_set(graph, check_steps=True)
+        result = approx_dominating_set(graph)
         assert result.selected == (1, 3)
         assert len(brute_force_dominating_set(graph)) == 2
 
@@ -71,7 +71,7 @@ class TestGreedy:
             n = rng.randint(1, 28)
             postings = oracles.random_postings(rng, n, n_entities=rng.randint(1, 9))
             graph = graph_of(n, postings)
-            ours = approx_dominating_set(graph, check_steps=True).selected
+            ours = approx_dominating_set(graph).selected
             reference = oracles.reference_greedy(oracles.matrix_from_postings(n, postings))
             assert list(ours) == reference, f"trial {trial} diverged"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 from unittest import mock
 
 import pytest
@@ -290,16 +291,21 @@ class TestSidecar:
         assert surfaces(mentions[0]) == [("Los Angeles Lakers", "ORG")]
 
 
+@pytest.fixture
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(entities_mod, "RETRY_BASE_DELAY", 0.01)
+
+
 class TestServiceMode:
     def test_empty_responses_mean_isolated_nodes(self, recognizer_service):
         sentences = [make_sentence(i, f"Sentence {i} here.") for i in range(3)]
-        mentions = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+        mentions = recognize_service(sentences, recognizer_service)
         assert mentions == {0: [], 1: [], 2: []}
 
     def test_valid_record_matches_sidecar_path(self, recognizer_service, tmp_path):
         RecognizerHandler.behavior = "lakers"
         sentences = [make_sentence(0, "The Lakers won.")]
-        from_service = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+        from_service = recognize_service(sentences, recognizer_service)
         sidecar = tmp_path / "m.jsonl"
         sidecar.write_text(
             json.dumps({"sentence_id": 0, "start": 4, "end": 10, "surface": "Lakers", "type": "ORG"}) + "\n",
@@ -311,32 +317,61 @@ class TestServiceMode:
     def test_overlapping_spans_resolved(self, recognizer_service):
         RecognizerHandler.behavior = "overlapping"
         sentences = [make_sentence(0, "The Los Angeles Lakers won.")]
-        mentions = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+        mentions = recognize_service(sentences, recognizer_service)
         assert surfaces(mentions[0]) == [("Los Angeles Lakers", "ORG")]
 
     def test_batching(self, recognizer_service):
         sentences = [make_sentence(i, f"Sentence {i}.") for i in range(10)]
-        recognize_service(sentences, recognizer_service, batch_size=4, retry_base_delay=0.01)
+        recognize_service(sentences, recognizer_service, batch_size=4)
         assert RecognizerHandler.request_count == 3  # ceil(10 / 4)
 
-    def test_transient_failures_are_retried(self, recognizer_service):
+    def test_transient_failures_are_retried(self, recognizer_service, fast_retries):
         RecognizerHandler.behavior = "lakers"
         RecognizerHandler.failures_left = 2
         sentences = [make_sentence(0, "The Lakers won.")]
-        mentions = recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+        mentions = recognize_service(sentences, recognizer_service)
         assert surfaces(mentions[0]) == [("Lakers", "ORG")]
 
-    def test_persistent_failure_fails_pipeline(self, recognizer_service):
+    def test_persistent_failure_fails_pipeline(self, recognizer_service, fast_retries):
         RecognizerHandler.behavior = "fail"
         sentences = [make_sentence(0, "The Lakers won.")]
         with pytest.raises(PipelineError, match="3 attempts"):
-            recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+            recognize_service(sentences, recognizer_service)
+
+    def test_reply_slower_than_the_timeout_is_retried_then_fails(
+        self, recognizer_service, backoff_sleeps
+    ):
+        RecognizerHandler.behavior = "slow"
+        sentences = [make_sentence(0, "The Lakers won.")]
+        with pytest.raises(PipelineError, match="3 attempts: .*timed out"):
+            recognize_service(sentences, recognizer_service, timeout=0.05)
+        assert backoff_sleeps == [0.5, 1.0]
+
+    def test_reply_that_is_not_json_is_retried_then_fails(
+        self, recognizer_service, backoff_sleeps
+    ):
+        RecognizerHandler.behavior = "not_json"
+        sentences = [make_sentence(0, "The Lakers won.")]
+        with pytest.raises(PipelineError, match="3 attempts"):
+            recognize_service(sentences, recognizer_service)
+        assert RecognizerHandler.request_count == 3
+        assert backoff_sleeps == [0.5, 1.0]
+
+    def test_refused_connection_is_retried_then_fails(self, backoff_sleeps):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # nothing listens on the port once the probe is closed
+        sentences = [make_sentence(0, "The Lakers won.")]
+        with pytest.raises(PipelineError, match="3 attempts: .*refused"):
+            recognize_service(sentences, f"http://127.0.0.1:{port}/")
+        assert backoff_sleeps == [0.5, 1.0]
 
     def test_client_error_is_not_retried(self, recognizer_service):
         RecognizerHandler.behavior = "reject"
         sentences = [make_sentence(0, "The Lakers won.")]
         with pytest.raises(PipelineError, match="HTTP 400"):
-            recognize_service(sentences, recognizer_service, retry_base_delay=0.01)
+            recognize_service(sentences, recognizer_service)
         assert RecognizerHandler.request_count == 1
 
     def test_record_for_a_sentence_outside_the_batch_rejected(self, recognizer_service):
@@ -351,7 +386,7 @@ class TestServiceMode:
 
     def test_dispatcher_service_mode(self, recognizer_service):
         RecognizerHandler.behavior = "lakers"
-        config = RecognizerConfig(mode="service", service_endpoint=recognizer_service, retry_base_delay=0.01)
+        config = RecognizerConfig(mode="service", service_endpoint=recognizer_service)
         sentences = [make_sentence(0, "The Lakers won.")]
         assert surfaces(recognize(sentences, config)[0]) == [("Lakers", "ORG")]
 

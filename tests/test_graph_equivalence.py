@@ -52,7 +52,7 @@ def test_graph_matches_dict_oracle(case):
         for v in range(n):
             assert graph.closed_neighborhood(v).tolist() == oracle.closed_neighborhood(v).tolist()
         for mode in ("residual", "static"):
-            ours = approx_dominating_set(graph, degree_mode=mode, check_steps=True)
+            ours = approx_dominating_set(graph, degree_mode=mode)
             reference = oracles.heap_dominating_set(oracle, degree_mode=mode)
             assert ours.selected == reference["selected"], mode
             assert ours.covered == reference["covered"]

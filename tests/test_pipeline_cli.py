@@ -137,14 +137,17 @@ class TestConfig:
         )
         load_config(with_support).validate()
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        config = load_config(write_fixture_config(tmp_path, workers="2"))
-        assert config.effective_workers() == 2
-        monkeypatch.setenv("MINPROMPT_WORKERS", "6")
-        assert config.effective_workers() == 6
-        monkeypatch.setenv("MINPROMPT_WORKERS", "zero")
-        with pytest.raises(ValidationError):
-            config.effective_workers()
+    def test_workers_caps_service_batches_in_flight(self, tmp_path):
+        path = write_fixture_config(tmp_path, workers="2")
+        assert load_config(path).recognizer_config().max_in_flight == 2
+        # the flag wins over the file, and at most 4 batches are in flight
+        out = str(tmp_path / "flagged")
+        assert main(["run", "--config", path, "--workers", "6", "--out", out]) == 0
+        echoed = load_config(os.path.join(out, "effective_config.cfg"))
+        assert echoed.workers == 6
+        assert echoed.recognizer_config().max_in_flight == 4
+        with pytest.raises(ValidationError, match="workers"):
+            load_config(write_fixture_config(tmp_path, workers="0")).validate()
 
     def test_expand_input_paths_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"
@@ -442,12 +445,14 @@ class TestCli:
             ("postings.jsonl", '{"entity": "lakers"}', "select"),
             ("postings.jsonl", '["lakers", [0, 1]]', "select"),
             ("postings.jsonl", '{"entity": "lakers", "sentences": [100000]}', "select"),
+            ("postings.jsonl", '{"entity": "lakers", "sentences": [0.7]}', "select"),
             ("sentences.jsonl", '{"sentence_id": 1000}', "graph"),
             ("mentions.jsonl", '{"sentence_id": 0, "start": 0', "generate"),
         ],
         ids=[
             "truncated_postings", "postings_missing_key", "postings_not_an_object",
-            "postings_id_out_of_range", "sentence_missing_keys", "truncated_mentions",
+            "postings_id_out_of_range", "postings_float_id", "sentence_missing_keys",
+            "truncated_mentions",
         ],
     )
     def test_stage_reports_malformed_artifact(

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 import oracles
 from conftest import make_sentence, mention_at
-from minprompt.errors import ValidationError
+from minprompt.errors import ParseError, ValidationError
 from minprompt.sentgraph import (
     SentenceGraph,
     build_graph,
@@ -189,3 +190,34 @@ class TestDump:
         rebuilt = read_postings_dump(str(path), 4)
         assert rebuilt.cached_degrees.tolist() == graph.cached_degrees.tolist()
         assert rebuilt.edge_count() == graph.edge_count()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["lakers", [0, 1]]', "must be an object"),
+            ('{"entity": 3, "sentences": [0, 1]}', "'entity' must be a string"),
+            ('{"sentences": [0, 1]}', "'entity' must be a string"),
+            ('{"entity": "lakers", "sentences": [0.7]}', "list of ints"),
+            ('{"entity": "lakers", "sentences": ["0"]}', "list of ints"),
+            ('{"entity": "lakers", "sentences": [0, true]}', "list of ints"),
+            ('{"entity": "lakers", "sentences": 1}', "list of ints"),
+            ('{"entity": "lakers"}', "list of ints"),
+        ],
+        ids=[
+            "not_an_object", "int_entity", "no_entity", "float_id", "string_id",
+            "bool_id", "id_not_in_a_list", "no_sentences",
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "postings.jsonl"
+        path.write_text('{"entity": "arena", "sentences": [2, 3]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: .*{re.escape(message)}"):
+            read_postings_dump(str(path), 4)
+
+    def test_int_ids_and_empty_lists_accepted(self, tmp_path):
+        path = tmp_path / "postings.jsonl"
+        path.write_text(
+            '{"entity": "arena", "sentences": [2, 3]}\n{"entity": "none", "sentences": []}\n',
+            encoding="utf-8",
+        )
+        assert read_postings_dump(str(path), 4).edge_count() == 1
