@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import pipeline as pipeline_mod
 from .errors import MinpromptError, ParseError, StageError, ValidationError
@@ -48,13 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="pipeline config file")
         cmd.add_argument("--out", default=None, help="shorthand for --output-dir")
         # every config key gets a flag; flags win over the config file
-        for key in pipeline_mod.CONFIG_KINDS:
+        for f in fields(PipelineConfig):
             cmd.add_argument(
-                f"--{key.replace('_', '-')}",
-                dest=f"cfg_{key}",
+                f"--{f.name.replace('_', '-')}",
+                dest=f"cfg_{f.name}",
                 default=None,
                 metavar="VALUE",
-                help=f"override config key {key}",
+                help=f"override config key {f.name}",
             )
         return cmd
 
@@ -75,11 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> PipelineConfig:
     config = pipeline_mod.load_config(args.config)
     cwd = os.getcwd()
-    for key, kind in pipeline_mod.CONFIG_KINDS.items():
-        raw = getattr(args, f"cfg_{key}", None)
-        if raw is None:
-            continue
-        config = replace(config, **{key: pipeline_mod.parse_config_value(key, kind, raw, cwd)})
+    for f in fields(PipelineConfig):
+        raw = getattr(args, f"cfg_{f.name}", None)
+        if raw is not None:
+            config = replace(config, **{f.name: pipeline_mod.parse_config_value(f.name, raw, cwd)})
     if args.out is not None:
         config = replace(config, output_dir=os.path.abspath(args.out))
     return config

@@ -29,6 +29,7 @@ from .sentgraph import SentenceGraph, _run_starts
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
+DEGREE_MODES = (DEGREE_RESIDUAL, DEGREE_STATIC)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def approx_dominating_set(
     degree_mode='static' never updates priorities after the initial build
     (comparison variant).
     """
-    if degree_mode not in (DEGREE_RESIDUAL, DEGREE_STATIC):
+    if degree_mode not in DEGREE_MODES:
         raise ValidationError(f"unknown degree mode {degree_mode!r}")
     n = graph.node_count
     covered = np.zeros(n, dtype=bool)

@@ -90,6 +90,10 @@ class RecognizerConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown recognizer mode {self.mode!r}")
+        if self.service_batch_size < 1:
+            raise ValidationError("service_batch_size must be >= 1")
+        if not self.service_timeout > 0:
+            raise ValidationError("service_timeout must be > 0")
         if self.mode == MODE_SIDECAR and not self.sidecar_path:
             raise ValidationError("sidecar mode requires sidecar_path")
         if self.mode == MODE_SERVICE and not self.service_endpoint:

@@ -23,6 +23,12 @@ stage's inputs, runs the body and writes its outputs, so a staged chain
 leaves the same files as `run`, stats.json included, all but the echo.
 Same inputs and seed give byte-identical outputs, so wall times live in
 timings.json only.
+
+Each config key is declared once, as a field of PipelineConfig: its
+annotation decides how a `key = value` line or a CLI flag is parsed and
+echoed, and a key ending in `_path`, `_paths` or `_dir` is a path, resolved
+against the config file's directory (the working directory for a flag).
+A line starting with `#` is a comment; a later `#` is part of the value.
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ from .entities import EntityMention, RecognizerConfig
 from .errors import ParseError, PipelineError, StageError, ValidationError
 from .fileio import iter_lines, read_json, read_jsonl, write_json, write_jsonl, write_text
 from .qgen import RetrievedContext, WhPriors
-
-STYLE_CHOICES = ("wh", "cloze", "both")
 
 CONFIG_ECHO_NAME = "effective_config.cfg"
 
@@ -99,26 +103,14 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
-        if self.input_format not in corpus_mod.FORMATS:
-            raise ValidationError(f"unknown input_format {self.input_format!r}")
-        if self.support_format not in corpus_mod.FORMATS:
-            raise ValidationError(f"unknown support_format {self.support_format!r}")
-        if self.question_style not in STYLE_CHOICES:
-            raise ValidationError(f"question_style must be one of {STYLE_CHOICES}")
-        if self.template_order not in qgen_mod.TEMPLATE_ORDERS:
-            raise ValidationError(f"unknown template_order {self.template_order!r}")
-        if self.graph_scope not in sentgraph_mod.SCOPES:
-            raise ValidationError(f"unknown graph_scope {self.graph_scope!r}")
-        if self.degree_mode not in (domset_mod.DEGREE_RESIDUAL, domset_mod.DEGREE_STATIC):
-            raise ValidationError(f"unknown degree_mode {self.degree_mode!r}")
-        if self.lambda_weight <= 0:
-            raise ValidationError("lambda_weight must be > 0")
-        if self.retrieval_top_k < 1:
-            raise ValidationError("retrieval_top_k must be >= 1")
-        if self.min_extra_shared_entities < 0:
-            raise ValidationError("min_extra_shared_entities must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValidationError("workers must be >= 1")
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValidationError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
+        for key, (op, bound) in LOWER_BOUNDS.items():
+            value = getattr(self, key)
+            if value is not None and not (value > bound if op == ">" else value >= bound):
+                raise ValidationError(f"{key} must be {op} {bound}")
         if not self.input_paths:
             raise ValidationError("input_paths is required")
         self.recognizer_config().validate()
@@ -133,100 +125,73 @@ class PipelineConfig:
             raise ValidationError(
                 "recognizer_mode = sidecar with retrieval requires support_sidecar_path"
             )
-        for path in self._referenced_paths():
-            if not os.path.exists(path):
-                raise ValidationError(f"configured path does not exist: {path}")
-
-    def _referenced_paths(self) -> list[str]:
-        paths = list(self.input_paths) + list(self.gazetteer_paths) + list(self.support_paths)
-        for optional in (
-            self.abbreviations_path,
-            self.sidecar_path,
-            self.stoplist_path,
-            self.support_sidecar_path,
-            self.priors_path,
-        ):
-            if optional:
-                paths.append(optional)
-        return paths
+        for key in INPUT_PATH_KEYS:
+            value = getattr(self, key)
+            for path in value if isinstance(value, tuple) else (value,):
+                if path and not os.path.exists(path):
+                    raise ValidationError(f"configured path does not exist: {path}")
 
 
-# key -> parse/format kind for the flat config-file syntax
-CONFIG_KINDS = {
-    "input_paths": "pathlist",
-    "input_format": "str",
-    "dataset_id": "str",
-    "dedup_contexts": "bool",
-    "abbreviations_path": "optpath",
-    "recognizer_mode": "str",
-    "gazetteer_paths": "pathlist",
-    "sidecar_path": "optpath",
-    "service_endpoint": "optstr",
-    "service_timeout": "float",
-    "service_batch_size": "int",
-    "stoplist_path": "optpath",
-    "graph_scope": "str",
-    "degree_mode": "str",
-    "retrieval_enabled": "bool",
-    "support_paths": "pathlist",
-    "support_format": "str",
-    "support_sidecar_path": "optpath",
-    "retrieval_top_k": "int",
-    "require_answer_entity": "bool",
-    "exclude_source_context": "bool",
-    "min_extra_shared_entities": "int",
-    "question_style": "str",
-    "template_order": "str",
-    "priors_path": "optpath",
-    "mask_token": "str",
-    "lambda_weight": "float",
-    "seed": "int",
-    "output_dir": "path",
-    "workers": "optint",
+# Each PipelineConfig field is one config key: its annotation picks the parse
+# rule below, and its name ending in one of PATH_SUFFIXES makes it a path.
+CONFIG_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+PATH_SUFFIXES = ("_path", "_paths", "_dir")
+# the paths validate requires to exist: every one but the output directory
+INPUT_PATH_KEYS = tuple(k for k in CONFIG_TYPES if k.endswith(PATH_SUFFIXES) and k != "output_dir")
+
+# key -> its allowed values (recognizer_mode is checked by RecognizerConfig)
+CHOICES = {
+    "input_format": corpus_mod.FORMATS,
+    "support_format": corpus_mod.FORMATS,
+    "graph_scope": sentgraph_mod.SCOPES,
+    "degree_mode": domset_mod.DEGREE_MODES,
+    "question_style": ("wh", "cloze", "both"),
+    "template_order": qgen_mod.TEMPLATE_ORDERS,
+}
+
+# key -> (comparison, bound) its value must satisfy; an unset (None) value passes
+LOWER_BOUNDS = {
+    "lambda_weight": (">", 0),
+    "retrieval_top_k": (">=", 1),
+    "min_extra_shared_entities": (">=", 0),
+    "workers": (">=", 1),
+}
+
+# field annotation, less " | None" (an empty value is None) -> (parse, expected);
+# parse raises KeyError or ValueError on a bad value
+CONFIG_PARSERS = {
+    "str": (str, "text"),
+    "bool": (lambda raw: {"true": True, "false": False}[raw.lower()], "true/false"),
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "tuple[str, ...]": (lambda raw: tuple(filter(None, map(str.strip, raw.split(",")))), "list"),
 }
 
 
-def parse_config_value(key: str, kind: str, raw: str, base_dir: str):
+def parse_config_value(key: str, raw: str, base_dir: str):
+    """The value of `key` in its field's type; a path resolves against base_dir."""
+    kind = CONFIG_TYPES[key]
     raw = raw.strip()
-    if kind in ("optpath", "optstr", "optint") and raw == "":
+    if kind.endswith(" | None") and raw == "":
         return None
-    if kind == "str" or kind == "optstr":
-        return raw
-    if kind == "bool":
-        if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
-        raise ValidationError(f"config key {key}: expected true/false, got {raw!r}")
-    if kind == "int" or kind == "optint":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"config key {key}: expected integer, got {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"config key {key}: expected number, got {raw!r}") from exc
-    if kind in ("path", "optpath"):
-        return os.path.abspath(os.path.join(base_dir, raw))
-    if kind == "pathlist":
-        if raw == "":
-            return ()
-        return tuple(
-            os.path.abspath(os.path.join(base_dir, part.strip()))
-            for part in raw.split(",")
-            if part.strip()
-        )
-    raise AssertionError(f"unhandled config kind {kind}")
+    parse, expected = CONFIG_PARSERS[kind.removesuffix(" | None")]
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"config key {key}: expected {expected}, got {raw!r}") from exc
+    if not key.endswith(PATH_SUFFIXES):
+        return value
+    if isinstance(value, tuple):
+        return tuple(os.path.abspath(os.path.join(base_dir, part)) for part in value)
+    return os.path.abspath(os.path.join(base_dir, value))
 
 
-def _format_value(kind: str, value) -> str:
-    if value is None:
-        return ""
-    if kind == "bool":
+def _format_value(value) -> str:
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if kind == "pathlist":
+    if isinstance(value, tuple):
         return ", ".join(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -238,18 +203,16 @@ def load_config(path: str) -> PipelineConfig:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KINDS:
+        if key not in CONFIG_TYPES:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = parse_config_value(key, CONFIG_KINDS[key], raw, base_dir)
+        values[key] = parse_config_value(key, raw, base_dir)
     return PipelineConfig(**values)
 
 
 def write_config_echo(config: PipelineConfig, path: str) -> None:
     """Dump the fully resolved config; re-running from it reproduces outputs."""
     lines = ["# resolved minprompt pipeline configuration"]
-    for f in fields(PipelineConfig):
-        kind = CONFIG_KINDS[f.name]
-        lines.append(f"{f.name} = {_format_value(kind, getattr(config, f.name))}")
+    lines += [f"{key} = {_format_value(getattr(config, key))}" for key in CONFIG_TYPES]
     write_text("\n".join(lines) + "\n", path)
 
 

@@ -23,6 +23,10 @@ from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# BM25 term-frequency saturation and document-length normalization
+K1 = 1.2
+B = 0.75
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric, drop empty tokens."""
@@ -50,9 +54,7 @@ class Bm25Index:
     (length 0) and can never be retrieved.
     """
 
-    def __init__(self, k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
+    def __init__(self):
         self.sentences: list[Sentence] = []
         self.keys: dict[int, frozenset[str]] = {}
         self.lengths = np.zeros(0, dtype=np.int64)  # tokens per sentence id
@@ -79,16 +81,14 @@ class Bm25Index:
 def build_index(
     sentences: list[Sentence],
     mentions: dict[int, list[EntityMention]] | None = None,
-    k1: float = 1.2,
-    b: float = 0.75,
 ) -> Bm25Index:
     """Index sentences (ids must be dense 0..N-1) with their entity keys.
 
-    A posting's weight is idf * tf * (k1 + 1) / (tf + norm), with
-    norm = k1 * (1 - b + b * length / avg_len), evaluated in that order so
+    A posting's weight is idf * tf * (K1 + 1) / (tf + norm), with
+    norm = K1 * (1 - B + B * length / avg_len), evaluated in that order so
     that a query's score is the same float a per-posting loop would add up.
     """
-    index = Bm25Index(k1=k1, b=b)
+    index = Bm25Index()
     index.sentences = list(sentences)
     mentions = mentions or {}
     lengths: list[int] = []
@@ -129,9 +129,9 @@ def build_index(
     idf = np.array(
         [math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()]
     )
-    norm = k1 * (1.0 - b + b * index.lengths / index.avg_len)
+    norm = K1 * (1.0 - B + B * index.lengths / index.avg_len)
     index.posting_weights = (
-        idf[row_array[order]] * (tf * (k1 + 1.0)) / (tf + norm[index.posting_ids])
+        idf[row_array[order]] * (tf * (K1 + 1.0)) / (tf + norm[index.posting_ids])
     )
     return index
 

@@ -270,15 +270,6 @@ class SentenceGraph:
         members.sort()
         return members[_run_starts(members)]
 
-    def neighbors(self, v: int) -> list[int]:
-        closed = self.closed_neighborhood(v)
-        return closed[closed != v].tolist()
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.node_count:
-            raise ValidationError(f"node {v} out of range 0..{self.node_count - 1}")
-        return int(self.cached_degrees[v])
-
     def edge_count(self) -> int:
         # Python ints, so counts past 2**31 (or 2**63) are exact.
         return int(self.cached_degrees.sum(dtype=np.int64)) // 2

@@ -17,7 +17,7 @@ import numpy as np
 from minprompt.corpus import _is_abbreviation
 from minprompt.entities import _SRC_GAZETTEER, _on_token_boundary
 from minprompt.errors import ValidationError
-from minprompt.retrieval import tokenize
+from minprompt.retrieval import B, K1, tokenize
 
 _BRUTE_FORCE_LIMIT = 25
 
@@ -42,6 +42,15 @@ def matrix_edge_count(adj: list[list[bool]]) -> int:
 
 def matrix_neighbors(adj: list[list[bool]], v: int) -> list[int]:
     return [u for u, flag in enumerate(adj[v]) if flag]
+
+
+def graph_neighbors(graph, v: int) -> list[int]:
+    """The neighbors of v in a SentenceGraph, ascending, from its closed
+    neighborhood; their count must be the graph's cached degree of v."""
+    closed = graph.closed_neighborhood(v)
+    neighbors = closed[closed != v].tolist()
+    assert len(neighbors) == graph.cached_degrees[v], f"node {v}: degree disagrees"
+    return neighbors
 
 
 def matrix_is_dominating(adj: list[list[bool]], candidate) -> bool:
@@ -277,7 +286,7 @@ class DictBm25Index:
     @classmethod
     def like(cls, index) -> "DictBm25Index":
         """The dict form of a retrieval.Bm25Index, from its sentence texts."""
-        return cls([s.text for s in index.sentences], index.k1, index.b)
+        return cls([s.text for s in index.sentences], K1, B)
 
     def idf(self, term: str) -> float:
         df = self.doc_freq.get(term)

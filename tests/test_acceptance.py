@@ -68,7 +68,7 @@ def test_criterion_01_figure_replication(lakers_sentences):
         sentences, mentions = lakers_sentences
         graph = build_graph(sentences, mentions)
         adjacency = {
-            frozenset((u, v)) for u in range(4) for v in graph.neighbors(u)
+            frozenset((u, v)) for u in range(4) for v in oracles.graph_neighbors(graph, u)
         }
         # 1-based s1..s4 wiring {1-2, 1-3, 2-3, 3-4}
         assert adjacency == {

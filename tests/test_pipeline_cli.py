@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -14,9 +15,10 @@ from conftest import FIXTURE_DIR, RecognizerHandler
 from minprompt import entities as entities_mod
 from minprompt import pipeline as pipeline_mod
 from minprompt import retrieval as retrieval_mod
-from minprompt.cli import main
+from minprompt.cli import _build_parser, _load_config, main
 from minprompt.errors import ValidationError
 from minprompt.pipeline import (
+    PipelineConfig,
     PipelineStats,
     expand_input_paths,
     load_config,
@@ -27,6 +29,7 @@ from minprompt.pipeline import (
     write_stats_files,
 )
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DOCS_DIR = os.path.join(FIXTURE_DIR, "docs")
 GAZETTEER = os.path.join(FIXTURE_DIR, "gazetteer.tsv")
 RETRIEVAL = {"retrieval_enabled": "true", "support_paths": DOCS_DIR}
@@ -44,6 +47,41 @@ ARTIFACT_FILES = (
     "samples.jsonl",
     "stats.json",
 )
+
+
+# a value for every config key, none of them its default
+EVERY_KEY = {
+    "input_paths": "docs, more",
+    "input_format": "mrqa_jsonl",
+    "dataset_id": "squad",
+    "dedup_contexts": "true",
+    "abbreviations_path": "abbreviations.txt",
+    "recognizer_mode": "service",
+    "gazetteer_paths": "a.tsv, b.tsv",
+    "sidecar_path": "mentions.jsonl",
+    "service_endpoint": "http://127.0.0.1:8080/ner",
+    "service_timeout": "2.5",
+    "service_batch_size": "16",
+    "stoplist_path": "stop.txt",
+    "graph_scope": "document",
+    "degree_mode": "static",
+    "retrieval_enabled": "true",
+    "support_paths": "support",
+    "support_format": "mrqa_jsonl",
+    "support_sidecar_path": "support_mentions.jsonl",
+    "retrieval_top_k": "5",
+    "require_answer_entity": "false",
+    "exclude_source_context": "false",
+    "min_extra_shared_entities": "0",
+    "question_style": "both",
+    "template_order": "wh_a_b",
+    "priors_path": "priors.json",
+    "mask_token": "[MASK]",
+    "lambda_weight": "0.5",
+    "seed": "3",
+    "output_dir": "elsewhere",
+    "workers": "2",
+}
 
 
 def fixture_config_text(out_dir: str, **overrides) -> str:
@@ -64,6 +102,12 @@ def fixture_config_text(out_dir: str, **overrides) -> str:
 def write_fixture_config(tmp_path, name: str = "pipeline", out: str = "out", **overrides) -> str:
     path = tmp_path / f"{name}.cfg"
     path.write_text(fixture_config_text(str(tmp_path / out), **overrides), encoding="utf-8")
+    return str(path)
+
+
+def write_every_key_config(tmp_path) -> str:
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in EVERY_KEY.items()), encoding="utf-8")
     return str(path)
 
 
@@ -107,9 +151,10 @@ class TestConfig:
             load_config(str(cfg))
 
     def test_lambda_must_be_positive(self, tmp_path):
-        path = write_fixture_config(tmp_path, lambda_weight="0")
-        with pytest.raises(ValidationError, match="lambda"):
-            load_config(path).validate()
+        for value in ("0", "-1", "nan"):
+            path = write_fixture_config(tmp_path, lambda_weight=value)
+            with pytest.raises(ValidationError, match="lambda"):
+                load_config(path).validate()
 
     def test_missing_path_rejected(self, tmp_path):
         path = write_fixture_config(tmp_path, stoplist_path="/nowhere/stop.txt")
@@ -117,10 +162,57 @@ class TestConfig:
             load_config(path).validate()
 
     def test_echo_round_trip(self, tmp_path):
-        config = load_config(write_fixture_config(tmp_path))
-        echo_path = tmp_path / "echo.cfg"
-        write_config_echo(config, str(echo_path))
-        assert load_config(str(echo_path)) == config
+        every_key = load_config(write_every_key_config(tmp_path))
+        defaults = PipelineConfig()
+        assert [f.name for f in fields(PipelineConfig)] == list(EVERY_KEY)
+        assert all(getattr(every_key, k) != getattr(defaults, k) for k in EVERY_KEY)
+        for config in (load_config(write_fixture_config(tmp_path)), every_key):
+            echo_path = tmp_path / "echo.cfg"
+            write_config_echo(config, str(echo_path))
+            assert load_config(str(echo_path)) == config
+
+    def test_every_annotation_has_a_parse_rule(self):
+        for f in fields(PipelineConfig):
+            assert f.type.removesuffix(" | None") in pipeline_mod.CONFIG_PARSERS, f.name
+
+    def test_every_key_has_a_flag(self, tmp_path, monkeypatch):
+        path = write_every_key_config(tmp_path)
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("", "utf-8")
+        # flags resolve relative paths against the working directory
+        monkeypatch.chdir(tmp_path)
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in EVERY_KEY.items()]
+        args = _build_parser().parse_args(["run", "--config", str(empty), *flags])
+        assert _load_config(args) == load_config(path)
+
+    def test_readme_config_block_sets_every_key(self, tmp_path):
+        with open(README, encoding="utf-8") as handle:
+            block = re.search(r"### Config file\n.*?```\n(.*?)```", handle.read(), re.S).group(1)
+        keys = [
+            line.partition("=")[0].strip()
+            for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+        assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        load_config(str(path))  # an inline comment would be read as part of its value
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("service_batch_size", "0"), ("service_timeout", "0"), ("service_timeout", "-1")],
+    )
+    def test_service_bounds_are_config_errors(self, tmp_path, capsys, key, value):
+        service = {"recognizer_mode": "service", "service_endpoint": "http://127.0.0.1:9/ner"}
+        path = write_fixture_config(tmp_path, **service, **{key: value})
+        config = load_config(path)
+        with pytest.raises(ValidationError, match=key):
+            config.validate()
+        with pytest.raises(ValidationError, match=key):
+            entities_mod.recognize([], config.recognizer_config())
+        assert main(["run", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(config.output_dir)
 
     def test_sidecar_mode_with_retrieval_needs_a_support_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "mentions.jsonl"
