@@ -10,11 +10,20 @@ An entry whose residual dropped since it was pushed is re-pushed lazily
 into the bucket of its current residual. When the pointer reaches 0 every
 uncovered node covers only itself, so they are all selected in one step.
 
-After each selection the residual degrees of the neighbors of every newly
-covered node drop by one, in one pass of the graph's neighborhood kernel
-over the whole newly covered set, counting only keys that still have
-uncovered members. Queue work is O(V + E); auxiliary state is O(V + total
-posting length) plus one kernel chunk.
+A selection lowers by one, for each node it newly covers, the residual
+of every uncovered neighbor of that node: only the nodes that share a key
+with a newly covered node change. So the updates wait (Minoux 1978 makes
+the greedy lazy the same way): a selection marks the keys of the nodes it
+newly covered, and one pass of the graph's neighborhood kernel over all
+the nodes covered since the last pass (a flush) applies them, counting
+only keys that still have uncovered members. A stored residual is then
+exact or too high, and exact unless the node holds a marked key. A
+candidate is flushed for only when its stored residual equals the bucket's
+priority and its key row holds a marked key; one whose stored residual is
+lower is re-pushed at that residual and looked at again there. Every pick
+is thus made on exact residuals and the selection is the eager greedy's.
+Queue work is O(V + E); auxiliary state is O(V + total posting length)
+plus one kernel chunk.
 """
 
 from __future__ import annotations
@@ -58,6 +67,26 @@ def approx_dominating_set(
     alive = np.diff(graph.key_indptr)  # uncovered members per key
     live = alive > 0
     track_residual = degree_mode == DEGREE_RESIDUAL
+    # the nodes covered since the last flush, their keys, and those keys
+    # marked: only a node holding a marked key can have a stale residual
+    pending_nodes: list[np.ndarray] = []
+    pending_keys: list[np.ndarray] = []
+    marked = np.zeros(len(graph.keys), dtype=bool)
+    # the candidate loop reads single values through memoryviews, several
+    # times cheaper than indexing the numpy arrays
+    is_covered, is_marked = memoryview(covered), memoryview(marked)
+    residual_of = memoryview(residual)
+    indptr, node_keys = memoryview(graph.node_indptr), memoryview(graph.node_keys)
+
+    def flush() -> None:
+        newly = np.concatenate(pending_nodes)
+        touched = np.concatenate(pending_keys)
+        pending_nodes.clear()
+        pending_keys.clear()
+        marked[touched] = False
+        np.subtract.at(alive, touched, 1)
+        live[touched] = alive[touched] > 0
+        _drop_residuals(graph, newly, live, covered, residual)
 
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
@@ -73,12 +102,21 @@ def approx_dominating_set(
         if level in pushed:
             bucket = np.sort(np.concatenate([bucket, pushed.pop(level)]))
         for v in bucket[~covered[bucket]].tolist():
-            if covered[v]:
+            if is_covered[v]:
                 continue
-            if track_residual and residual[v] != level:
-                if residual[v]:  # residual 0 waits for the final step
-                    pushed.setdefault(int(residual[v]), []).append(v)
-                continue
+            if track_residual:
+                # a stored residual is exact or too high, so it only needs
+                # the pending updates when it could make v a pick
+                if (
+                    residual_of[v] == level
+                    and pending_nodes
+                    and any(map(is_marked.__getitem__, node_keys[indptr[v] : indptr[v + 1]]))
+                ):
+                    flush()
+                if residual_of[v] != level:
+                    if residual_of[v]:  # residual 0 waits for the final step
+                        pushed.setdefault(residual_of[v], []).append(v)
+                    continue
             selected.append(v)
             closed = graph.closed_neighborhood(v)
             newly = closed[~covered[closed]]
@@ -86,9 +124,9 @@ def approx_dominating_set(
             uncovered -= newly.size
             if track_residual:
                 touched = graph._keys_of(newly)
-                np.subtract.at(alive, touched, 1)
-                live[touched] = alive[touched] > 0
-                _drop_residuals(graph, newly, live, covered, residual)
+                marked[touched] = True
+                pending_nodes.append(newly)
+                pending_keys.append(touched)
     # every node still uncovered has no uncovered neighbor left
     chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
 

@@ -113,6 +113,7 @@ class PipelineConfig:
                 raise ValidationError(f"{key} must be {op} {bound}")
         if not self.input_paths:
             raise ValidationError("input_paths is required")
+        _check_list_values(self)
         self.recognizer_config().validate()
         if self.retrieval_enabled and not self.support_paths:
             raise ValidationError("retrieval_enabled requires support_paths")
@@ -129,7 +130,29 @@ class PipelineConfig:
             value = getattr(self, key)
             for path in value if isinstance(value, tuple) else (value,):
                 if path and not os.path.exists(path):
-                    raise ValidationError(f"configured path does not exist: {path}")
+                    raise ValidationError(
+                        f"configured path does not exist: {path}"
+                        + (_comma_hint(path) if isinstance(value, tuple) else "")
+                    )
+
+
+def _check_list_values(config: PipelineConfig) -> None:
+    """A list element with a comma in it would be read back as several."""
+    for key, kind in CONFIG_TYPES.items():
+        value = getattr(config, key)
+        if kind == "tuple[str, ...]" and any("," in part for part in value):
+            raise ValidationError(f"{key}: commas separate list values; got {value!r}")
+
+
+def _comma_hint(path: str) -> str:
+    """A note for a missing list element that is the head of an existing
+    path with a comma in it: the list split that path."""
+    parent, name = os.path.split(path)
+    try:
+        joined = min(entry for entry in os.listdir(parent) if entry.startswith(name + ","))
+    except (OSError, ValueError):
+        return ""
+    return f" ({os.path.join(parent, joined)!r} exists, but commas separate list values)"
 
 
 # Each PipelineConfig field is one config key: its annotation picks the parse
@@ -211,6 +234,7 @@ def load_config(path: str) -> PipelineConfig:
 
 def write_config_echo(config: PipelineConfig, path: str) -> None:
     """Dump the fully resolved config; re-running from it reproduces outputs."""
+    _check_list_values(config)
     lines = ["# resolved minprompt pipeline configuration"]
     lines += [f"{key} = {_format_value(getattr(config, key))}" for key in CONFIG_TYPES]
     write_text("\n".join(lines) + "\n", path)

@@ -11,22 +11,39 @@ The build interns the sorted keys once and fills both directions in bulk:
 one sort of the ``key * V + member`` codes, adjacent duplicates dropped,
 `bincount` for the row pointers.
 
-Degrees and the greedy's residual updates come from one kernel,
+The greedy's residual updates come from one kernel,
 `SentenceGraph._neighbor_codes`. It splits an owner node's closed
 neighborhood into the members of its longest key, which it never expands,
 and the rest: the owner's other postings, expanded into
 ``owner * V + member`` codes in chunks of about `_CHUNK_CODES` codes (one
 owner is never split across chunks), made distinct by a sort and an
 adjacent-difference mask, minus the members of the longest key (is that
-key in the member's own short key row?). So a one-key node costs O(1) even
+key in the member's own key row?). So a one-key node costs O(1) even
 inside a megaclique, and a hub member pays only for its other keys. No
 edge list is ever materialized: memory stays O(V + total posting length)
 plus one chunk.
+
+Degrees are counted, not expanded. A node v whose key row K(v) has at
+most `_IE_ROW` keys (a short row) gets its degree by inclusion-exclusion:
+the sum over the nonempty subsets S of K(v) of (-1)**(|S| + 1) N(S),
+minus 1, where N(S) is the number of short rows that hold all of S. For a
+single key that is its short-row length; the larger subsets are counted
+level by level, one sort per level. An s-subset's int64 code is the id of
+its first s - 1 keys times K plus its last key, and a subset's id is the
+rank of its code among the level's distinct codes, so the codes stay below
+(distinct subsets of the level before) * K; the build refuses a graph
+whose codes would pass 2**63 - 1. A long row's degree comes from the
+kernel, and the long row adds itself to the degree of each short-row
+neighbor. Memory is O(V + total posting length) times the subsets of a
+short row per key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -52,7 +69,12 @@ _CHUNK_CODES = 1 << 15
 # A sentence mentions few entities: node rows up to this many keys are
 # checked by direct comparison, four times faster than a binary search in
 # the node-key pairs on the select_hubs workload; longer rows are searched.
-_SHORT_ROW = 4
+_SCAN_ROW = 4
+
+# Node rows up to this many keys get their degrees by inclusion-exclusion
+# over the 2**_IE_ROW - 1 subsets of their keys; longer rows use the kernel.
+_IE_ROW = 5
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +98,16 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     starts = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     return starts
+
+
+@functools.cache
+def _subset_layout(row: int, size: int) -> tuple[list[int], list[int]]:
+    """For each `size`-subset of row positions, in combinations order: the
+    index of its first size - 1 positions among the (size - 1)-subsets, and
+    its last position."""
+    smaller = {c: i for i, c in enumerate(itertools.combinations(range(row), size - 1))}
+    subsets = list(itertools.combinations(range(row), size))
+    return [smaller[c[:-1]] for c in subsets], [c[-1] for c in subsets]
 
 
 def _intern(node_count: int, postings: dict[str, list[int] | np.ndarray]):
@@ -232,9 +264,9 @@ class SentenceGraph:
         first = self.node_indptr[nodes]
         last = self.node_indptr[nodes + 1] - 1
         found = self.node_keys[first] == keys
-        for j in range(1, _SHORT_ROW):
+        for j in range(1, _SCAN_ROW):
             found |= self.node_keys[np.minimum(first + j, last)] == keys
-        long = np.flatnonzero(last - first >= _SHORT_ROW)
+        long = np.flatnonzero(last - first >= _SCAN_ROW)
         if long.size:
             pairs = nodes[long] * len(self.keys) + keys[long]
             pos = np.searchsorted(self._pair_codes, pairs)
@@ -242,20 +274,101 @@ class SentenceGraph:
         return found
 
     def _degrees(self) -> np.ndarray:
-        n = self.node_count
-        degrees = np.zeros(n, dtype=np.int64)
+        """Each node's count of distinct neighbors (see the module docstring)."""
+        lengths = np.diff(self.node_indptr)
+        short = lengths <= _IE_ROW
+        by_length = [np.flatnonzero(lengths == r) for r in range(1, _IE_ROW + 1)]
+        long_rows = np.flatnonzero(~short)
+        del lengths
+        degrees = np.zeros(self.node_count, dtype=np.int64)
+        hub_count = self._add_long_degrees(degrees, long_rows, short)
+        # level 1 of inclusion-exclusion: N({k}) is k's short-row members,
+        # plus the long rows that neighbor all of k
+        single = np.diff(self.key_indptr) + hub_count
+        single -= np.bincount(self._keys_of(long_rows), minlength=single.size)
+        for r, rows in enumerate(by_length, 1):
+            keys = self.node_keys[self.node_indptr[rows, None] + np.arange(r)]
+            degrees[rows] += single[keys].sum(axis=1) - 1
+        self._add_subset_counts(degrees, by_length)
+        return degrees
+
+    def _add_long_degrees(self, degrees: np.ndarray, long_rows: np.ndarray, short: np.ndarray):
+        """Set each long row's degree by the kernel, and add 1 to each of its
+        short-row neighbors outside its longest key. Returns how many long
+        rows have each key as their longest: each neighbors all of that key."""
+        hub_count = np.zeros(len(self.keys), dtype=np.int64)
         # blocks of owners keep the kernel's per-(owner, key) arrays small too
-        for lo in range(0, n, _CHUNK_CODES):
-            owners = np.arange(lo, min(lo + _CHUNK_CODES, n), dtype=np.int64)
+        for lo in range(0, long_rows.size, _CHUNK_CODES):
+            owners = long_rows[lo : lo + _CHUNK_CODES]
             hub, chunks = self._neighbor_codes(owners)
-            has = np.flatnonzero(hub >= 0)
-            hubs = hub[has]
-            degrees[lo + has] = self.key_indptr[hubs + 1] - self.key_indptr[hubs] - 1
-            for i, _ in chunks:
+            degrees[owners] = self.key_indptr[hub + 1] - self.key_indptr[hub] - 1
+            hub_count += np.bincount(hub, minlength=hub_count.size)
+            for i, w in chunks:
                 if i.size:
                     counts = np.bincount(i - i[0])
-                    degrees[lo + i[0] : lo + i[0] + counts.size] += counts
-        return degrees
+                    degrees[owners[i[0] : i[0] + counts.size]] += counts
+                    np.add.at(degrees, w[short[w]], 1)
+        return hub_count
+
+    def _add_subset_counts(self, degrees: np.ndarray, by_length: list[np.ndarray]) -> None:
+        """Levels 2.._IE_ROW of inclusion-exclusion: add (-1)**(s + 1) N(S)
+        to degrees[v] for each s-subset S of v's keys, where N(S) counts
+        the short rows (by_length[r - 1]: the rows of r keys) holding S."""
+        key_count = len(self.keys)
+        # (row length, rows, each row's subset ids of the previous level)
+        groups = [(r, rows, None) for r, rows in enumerate(by_length, 1) if rows.size]
+        bound = key_count  # the ids of the level before are below it
+        for s in range(2, _IE_ROW + 1):
+            groups = [group for group in groups if group[0] >= s]
+            if not groups:
+                return
+            if bound * key_count - 1 > _INT64_MAX:
+                raise ValidationError(
+                    f"{bound} key subsets x {key_count} keys overflow int64 subset codes"
+                )
+            sizes = [rows.size * math.comb(r, s) for r, rows, _ in groups]
+            codes = np.empty(sum(sizes), dtype=np.int64)
+            end = 0
+            for r, rows, ids in groups:
+                step = max(1, _CHUNK_CODES // math.comb(r, s))  # rows per block
+                for lo in range(0, rows.size, step):
+                    block = self._subset_codes(
+                        r, rows[lo : lo + step], None if ids is None else ids[lo : lo + step], s
+                    ).ravel()
+                    codes[end : end + block.size] = block
+                    end += block.size
+            # one sort: equal codes are one subset S, so S's id is the rank
+            # of its code among the distinct ones and N(S) its copies
+            order = codes.argsort()
+            codes = codes[order]
+            codes[:] = _run_starts(codes)
+            np.cumsum(codes, out=codes)
+            ids = np.empty_like(codes)
+            ids[order] = codes
+            # three code-sized arrays at once set the pass's peak memory
+            del order, codes
+            copies = np.bincount(ids)
+            sign = 1 if s % 2 else -1
+            end = 0
+            for j, ((r, rows, _), size) in enumerate(zip(groups, sizes)):
+                row_ids = ids[end : end + size].reshape(rows.size, -1)
+                end += size
+                degrees[rows] += sign * copies[row_ids].sum(axis=1)
+                groups[j] = (r, rows, row_ids)
+            bound = copies.size
+            del copies
+
+    def _subset_codes(self, r: int, rows: np.ndarray, ids: np.ndarray | None, size: int):
+        """Codes of every `size`-subset of the `r`-key rows `rows`, a row
+        per line: the id of the subset's first size - 1 keys (`ids`, the
+        previous level's; None for the key ids) * K + its last key."""
+        prefix, last = _subset_layout(r, size)
+        starts = self.node_indptr[rows, None]
+        # the 1-subsets are the row positions, so a key's id is its key id
+        codes = self.node_keys[starts + prefix] if ids is None else ids[:, prefix]
+        codes *= len(self.keys)
+        codes += self.node_keys[starts + last]
+        return codes
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """Sorted ids of v plus every neighbor of v."""
@@ -344,5 +457,8 @@ def read_postings_dump(path: str, node_count: int) -> SentenceGraph:
         # exact types: bool is an int subclass
         if not isinstance(ids, list) or not {int}.issuperset(map(type, ids)):
             raise ParseError(f"{path}:{lineno}: 'sentences' must be a list of ints")
-        raw[entity] = ids
+        try:
+            raw[entity] = array("q", ids)  # 8 bytes an id, not a Python int object
+        except OverflowError:
+            raise ParseError(f"{path}:{lineno}: a sentence id does not fit in 64 bits") from None
     return SentenceGraph.from_postings(node_count, raw)

@@ -4,17 +4,22 @@ bounds on inputs that used to be quadratic."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from minprompt import sentgraph
+from minprompt import domset, sentgraph
 from minprompt.domset import approx_dominating_set, is_dominating_set
+from minprompt.errors import ValidationError
 from minprompt.sentgraph import SentenceGraph
 
 
@@ -22,6 +27,7 @@ from minprompt.sentgraph import SentenceGraph
 def raw_postings(draw):
     """(node count, raw postings, chunk budget): duplicate and unsorted
     ids, empty lists, isolated nodes, sometimes one node with many keys,
+    sometimes nodes with key rows around the inclusion-exclusion cap,
     sometimes numpy arrays, and chunk budgets that split owners' rows."""
     n = draw(st.integers(0, 30))
     lists = []
@@ -31,6 +37,16 @@ def raw_postings(draw):
         if draw(st.booleans()):
             busy = draw(ids)
             lists += [[draw(ids), busy] for _ in range(draw(st.integers(5, 25)))]
+        if draw(st.booleans()):
+            # each drawn node joins cap - 1 .. cap + 2 keys of a small pool,
+            # so long and short rows share keys
+            cap = sentgraph._IE_ROW
+            pool = [[] for _ in range(draw(st.integers(cap + 2, cap + 6)))]
+            for node in draw(st.lists(ids, min_size=1, max_size=8)):
+                row = st.integers(0, len(pool) - 1)
+                for k in draw(st.sets(row, min_size=cap - 1, max_size=cap + 2)):
+                    pool[k].append(node)
+            lists += pool
     postings = {f"k{i}": members for i, members in enumerate(lists)}
     if draw(st.booleans()):
         postings = {key: np.array(members, dtype=np.int64) for key, members in postings.items()}
@@ -71,6 +87,140 @@ def test_is_dominating_set_matches_matrix_oracle(case, data):
     assert is_dominating_set(graph, candidate) == expected
 
 
+def assert_degrees_match(n, postings):
+    graph = SentenceGraph.from_postings(n, postings)
+    assert graph.cached_degrees.tolist() == oracles.DictGraph(n, postings).degrees.tolist()
+    return graph
+
+
+class TestInclusionExclusionDegrees:
+    """The counted degrees of short rows, next to long rows, against the
+    per-node union loops of oracles.DictGraph."""
+
+    cap = sentgraph._IE_ROW
+
+    def test_rows_at_and_just_past_the_cap(self):
+        # node 0 holds cap keys, node 1 cap + 1; both share them with others
+        postings = {f"k{j}": [0, 1, 2 + j] for j in range(self.cap)}
+        postings["extra"] = [1, 2, 3 + self.cap]
+        graph = assert_degrees_match(4 + self.cap, postings)
+        assert np.diff(graph.node_indptr)[:2].tolist() == [self.cap, self.cap + 1]
+
+    def test_long_rows_neighbor_short_rows(self):
+        # long rows 0-2 share keys with each other and with short rows
+        # through their longest key and through their other keys
+        rng = random.Random(8)
+        n = 40
+        postings = {"hub": [0, 1, 2] + rng.sample(range(3, n), 12)}
+        for j in range(self.cap + 3):
+            postings[f"k{j}"] = [j % 3, (j + 1) % 3] + rng.sample(range(3, n), 3)
+        postings.update({f"s{j}": rng.sample(range(3, n), 2) for j in range(20)})
+        graph = assert_degrees_match(n, postings)
+        lengths = np.diff(graph.node_indptr)
+        assert (lengths[:3] > self.cap).all() and (lengths[3:] <= self.cap).any()
+
+    def test_keys_shared_by_long_and_short_rows(self):
+        # every key holds the long row 0 and short rows; node 9's short
+        # row reaches node 0 through three keys at once
+        postings = {f"k{j}": [0, 10 + j] + [9] * (j < 3) for j in range(self.cap + 2)}
+        postings["other"] = [9, 10, 11]
+        graph = assert_degrees_match(12 + self.cap, postings)
+        lengths = np.diff(graph.node_indptr)
+        assert lengths[0] > self.cap and lengths[9] == 4 <= self.cap
+
+    def test_node_whose_keys_all_have_one_member(self):
+        postings = {f"solo{j}": [0] for j in range(self.cap)}
+        postings["pair"] = [1, 2]
+        graph = assert_degrees_match(3, postings)
+        assert graph.cached_degrees.tolist() == [0, 1, 1]
+
+    def test_isolated_nodes(self):
+        graph = assert_degrees_match(6, {"a": [1, 3], "b": [3, 4]})
+        assert graph.cached_degrees.tolist() == [0, 1, 0, 2, 1, 0]
+        assert assert_degrees_match(4, {}).cached_degrees.tolist() == [0, 0, 0, 0]
+
+    def test_subset_codes_refuse_int64_overflow(self):
+        # two 2-key rows over 3 keys: a pair code is below 3 * 3
+        postings = {"a": [0, 1], "b": [0], "c": [1]}
+        with mock.patch.object(sentgraph, "_INT64_MAX", 8):
+            assert_degrees_match(2, postings)
+        with mock.patch.object(sentgraph, "_INT64_MAX", 7):
+            with pytest.raises(ValidationError, match="overflow int64"):
+                SentenceGraph.from_postings(2, postings)
+
+
+class TestBatchedGreedy:
+    """The greedy applies the residual updates of several picks in one
+    kernel pass (a flush), and must still select what the eager heap
+    greedy of oracles.py selects."""
+
+    @staticmethod
+    def solve_counting_flushes(n, postings):
+        graph = SentenceGraph.from_postings(n, postings)
+        calls = []
+        original = domset._drop_residuals
+
+        def counted(graph, newly, *rest):
+            calls.append(newly.size)
+            return original(graph, newly, *rest)
+
+        with mock.patch.object(domset, "_drop_residuals", counted):
+            result = approx_dominating_set(graph)
+        expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings))
+        assert result.selected == expected["selected"]
+        return result, calls
+
+    def test_later_candidate_next_to_a_newly_covered_node_forces_a_flush(self):
+        # 0 and 2 share the top bucket (degree 5); picking 0 covers 3,
+        # which shares key B with 2, so 2's residual is really 4. Node 1
+        # (degree 4, smaller id) then comes before 2 and covers it; a
+        # stale residual would have picked 2 at level 5 instead.
+        postings = {
+            "A": [0, 3, 10, 11],
+            "E": [0, 14, 15],
+            "B": [2, 3],
+            "C": [1, 2, 20, 21],
+            "D": [2, 22],
+            "F": [1, 23],
+        }
+        result, calls = self.solve_counting_flushes(24, postings)
+        assert result.selected[:2] == (0, 1)
+        # the 6 nodes 0 covered, flushed for node 2; the 5 nodes 1 covered,
+        # flushed for node 22 (degree 1, its only neighbor 2 now covered)
+        assert calls == [6, 5]
+
+    def test_disjoint_picks_share_one_flush(self):
+        # three disjoint 5-cliques; member 5i of clique i also neighbors
+        # 15 + i, so 0, 5 and 10 are the degree-5 picks. Node 18 neighbors
+        # every 15 + i: its row is the first to hold a marked key, and one
+        # flush applies the three picks together.
+        postings = {}
+        for i in range(3):
+            postings[f"S{i}"] = list(range(5 * i, 5 * i + 5))
+            postings[f"T{i}"] = [5 * i, 15 + i]
+            postings[f"U{i}"] = [15 + i, 18]
+        result, calls = self.solve_counting_flushes(19, postings)
+        assert result.selected == (0, 5, 10, 18)
+        assert calls == [18]
+
+    def test_hub_graph_matches_heap_oracle(self):
+        # 20k nodes, three hubs of 3%, 1-6 Zipf-distributed keys per node:
+        # rows reach past the inclusion-exclusion cap
+        rng = random.Random(20)
+        n, tail = 20_000, 3_000
+        weights = list(itertools.accumulate(1 / math.sqrt(rank) for rank in range(1, tail + 1)))
+        postings = {f"hub{h}": rng.sample(range(n), 600) for h in range(3)}
+        for node in range(n):
+            for key in rng.choices(range(tail), cum_weights=weights, k=rng.randint(1, 6)):
+                postings.setdefault(f"e{key}", []).append(node)
+        graph = SentenceGraph.from_postings(n, postings)
+        oracle = oracles.DictGraph(n, postings)
+        assert graph.cached_degrees.tolist() == oracle.degrees.tolist()
+        assert np.diff(graph.node_indptr).max() > sentgraph._IE_ROW
+        result = approx_dominating_set(graph)
+        assert result.selected == oracles.heap_dominating_set(oracle)["selected"]
+
+
 class TestBounds:
     """Shapes that make per-node unions quadratic build and solve fast."""
 
@@ -100,6 +250,41 @@ class TestBounds:
         assert graph.cached_degrees.tolist() == [n - 1] * n
         assert result.selected == (0,)
         assert elapsed < 20.0, f"took {elapsed:.1f}s"
+
+    def test_degree_pass_is_linear_at_the_cap(self):
+        # 25k and 100k nodes, each holding exactly _IE_ROW keys (the most
+        # subsets a counted row has), every key shared by about 10 nodes
+        cap = sentgraph._IE_ROW
+
+        def capped_rows(n):
+            keys = n // 2
+            base = np.random.default_rng(n).integers(0, keys, n)
+            key = (base[:, None] + np.arange(cap) * (keys // cap)).ravel() % keys
+            order = np.argsort(key, kind="stable")
+            members = np.repeat(np.arange(n), cap)[order]
+            bounds = np.searchsorted(key[order], np.arange(keys + 1))
+            return {f"k{k}": members[bounds[k] : bounds[k + 1]] for k in range(keys)}
+
+        graphs = [SentenceGraph.from_postings(n, capped_rows(n)) for n in (25_000, 100_000)]
+        best, peaks = [float("inf")] * 2, []
+        for _ in range(3):
+            for i, graph in enumerate(graphs):
+                begin = time.perf_counter()
+                graph._degrees()
+                best[i] = min(best[i], time.perf_counter() - begin)
+        for graph in graphs:
+            tracemalloc.start()
+            start = tracemalloc.get_traced_memory()[0]
+            graph._degrees()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            tracemalloc.stop()
+        postings = [graph.key_members.size for graph in graphs]
+        assert postings[1] == 100_000 * cap
+        # linear: 4x the postings take well under the 16x of a quadratic pass
+        assert best[1] / best[0] < 8, f"times={best}"
+        assert best[1] < 20.0
+        for peak, length in zip(peaks, postings):
+            assert peak < 100 * length, f"{peak / length:.0f} bytes per posting"
 
     def test_isolated_tail_is_selected_in_one_step(self):
         # 50k nodes, 90% isolated: the greedy selects the 45k isolated

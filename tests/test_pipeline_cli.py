@@ -161,6 +161,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match="does not exist"):
             load_config(path).validate()
 
+    def test_list_path_with_a_comma(self, tmp_path):
+        # a list value splits on every comma, so '<dir>/a,b' cannot be named
+        (tmp_path / "a,b").mkdir()
+        (tmp_path / "a,b" / "doc.txt").write_text("One sentence here.\n", encoding="utf-8")
+        config = PipelineConfig(input_paths=(str(tmp_path / "a,b"),))
+        with pytest.raises(ValidationError, match="commas separate list values"):
+            write_config_echo(config, str(tmp_path / "echo.cfg"))
+        assert not (tmp_path / "echo.cfg").exists()
+        with pytest.raises(ValidationError, match="commas separate list values"):
+            config.validate()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"input_paths = {tmp_path / 'a,b'}\n", encoding="utf-8")
+        loaded = load_config(str(cfg))
+        assert loaded.input_paths == (str(tmp_path / "a"), str(tmp_path / "b"))
+        with pytest.raises(ValidationError) as caught:
+            loaded.validate()
+        message = str(caught.value)
+        assert f"does not exist: {tmp_path / 'a'}" in message
+        assert f"{str(tmp_path / 'a,b')!r} exists, but commas separate list values" in message
+
     def test_echo_round_trip(self, tmp_path):
         every_key = load_config(write_every_key_config(tmp_path))
         defaults = PipelineConfig()

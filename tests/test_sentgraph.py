@@ -202,10 +202,11 @@ class TestDump:
             ('{"entity": "lakers", "sentences": [0, true]}', "list of ints"),
             ('{"entity": "lakers", "sentences": 1}', "list of ints"),
             ('{"entity": "lakers"}', "list of ints"),
+            ('{"entity": "lakers", "sentences": [0, 9223372036854775808]}', "fit in 64 bits"),
         ],
         ids=[
             "not_an_object", "int_entity", "no_entity", "float_id", "string_id",
-            "bool_id", "id_not_in_a_list", "no_sentences",
+            "bool_id", "id_not_in_a_list", "no_sentences", "id_past_int64",
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
