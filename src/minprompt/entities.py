@@ -104,21 +104,24 @@ class Gazetteer(Mapping):
     """A read-only term -> entity type table, indexed for matching.
 
     It compares equal to the plain dict of its terms. Each term that starts
-    with a word character sits in the bucket of its first `\\w+` token, so a
-    text is matched with one lookup per token start instead of one scan per
-    term; the few terms that start otherwise are scanned for.
+    with a word character sits in the bucket of its first `\\w+` token, keyed
+    by its length, so a text is matched with one lookup per token start and
+    distinct term length in its bucket, however many terms share the token;
+    the few terms that start otherwise are scanned for.
     """
 
     def __init__(self, table: dict[str, str]):
         self._types = dict(table)
-        self.buckets: dict[str, list[tuple[str, str]]] = {}
+        # first token -> term length -> term -> entity type
+        self.buckets: dict[str, dict[int, dict[str, str]]] = {}
         self.fallback: list[tuple[str, str]] = []
         for term, etype in self._types.items():
             first = _TOKEN_RUN_RE.match(term)
             if first is None:
                 self.fallback.append((term, etype))
             else:
-                self.buckets.setdefault(first.group(), []).append((term, etype))
+                bucket = self.buckets.setdefault(first.group(), {})
+                bucket.setdefault(len(term), {})[term] = etype
 
     def __getitem__(self, term: str) -> str:
         return self._types[term]
@@ -170,24 +173,33 @@ _NUMBER_WORDS = frozenset(
 _MONTH_DATE_RE = re.compile(
     r"\b(?:%s)(?:\s+\d{1,2}(?:st|nd|rd|th)?)?(?:,?\s+\d{4})?\b" % "|".join(_MONTHS)
 )
-_YEAR_RE = re.compile(r"(?<!\d)\d{4}(?!\d)")
+# The year and integer patterns open with a digit and look behind it, which
+# lets the regex engine skip ahead to the digits of a text.
+_YEAR_RE = re.compile(r"\d(?<!\d\d)\d{3}(?!\d)")
 _PERCENT_RE = re.compile(r"(?<![\w.])\d+(?:\.\d+)?%")
 _MONEY_RE = re.compile(r"[$£€]\d(?:[\d,]*\d)?(?:\.\d+)?")
-_INTEGER_RE = re.compile(r"(?<![\w.,])\d(?:[\d,]*\d)?(?![\w%])(?!\.\d)(?!,\d)")
+_INTEGER_RE = re.compile(r"\d(?<![\w.,]\d)(?:[\d,]*\d)?(?![\w%])(?!\.\d)(?!,\d)")
 _WORD_RE = re.compile(r"\w+(?:['’\-]\w+)*")
 # A \w character is exactly one that is alphanumeric or '_', the characters
 # _on_token_boundary will not let a match touch.
 _TOKEN_RUN_RE = re.compile(r"\w+")
 
-# Sub-rank within _SRC_PATTERN; decides ties on identical spans (a 4-digit
-# year is a DATE, not a CARDINAL).
-_PATTERNS = (
-    (_MONTH_DATE_RE, "DATE", 0),
-    (_YEAR_RE, "DATE", 1),
-    (_PERCENT_RE, "PERCENT", 2),
-    (_MONEY_RE, "MONEY", 3),
-    (_INTEGER_RE, "CARDINAL", 4),
-)
+# Prefilters: a text they find nothing in has no match of the patterns they
+# gate. \d, like the patterns, matches every Unicode decimal digit.
+_MONTH_NAME_RE = re.compile("|".join(_MONTHS))
+_DIGIT_RE = re.compile(r"\d")
+
+# Candidate ranks: (source, sub-rank within the source). The pattern
+# sub-ranks decide ties on identical spans (a 4-digit year is a DATE, not a
+# CARDINAL).
+_GAZETTEER_RANK = (_SRC_GAZETTEER, 0)
+_NUMBER_WORD_RANK = (_SRC_PATTERN, 5)
+_CAPRUN_RANK = (_SRC_CAPRUN, 0)
+_MONTH_DATE = (_MONTH_DATE_RE, "DATE", (_SRC_PATTERN, 0))
+_YEAR = (_YEAR_RE, "DATE", (_SRC_PATTERN, 1))
+_PERCENT = (_PERCENT_RE, "PERCENT", (_SRC_PATTERN, 2))
+_MONEY = (_MONEY_RE, "MONEY", (_SRC_PATTERN, 3))
+_INTEGER = (_INTEGER_RE, "CARDINAL", (_SRC_PATTERN, 4))
 
 
 def _on_token_boundary(text: str, start: int, end: int) -> bool:
@@ -198,53 +210,85 @@ def _on_token_boundary(text: str, start: int, end: int) -> bool:
     return True
 
 
-def _gazetteer_candidates(text: str, gazetteer: Gazetteer):
-    # A term that starts with a word character can only match where a \w+
-    # run starts, and only if that run is the term's first token.
+def _term_candidates(text: str, pos: int, bucket: dict[int, dict[str, str]]):
+    """The terms of `bucket` that match at `pos` on token boundaries."""
+    for length, terms in bucket.items():
+        end = pos + length
+        etype = terms.get(text[pos:end])
+        if etype is not None and _on_token_boundary(text, pos, end):
+            yield pos, end, etype, _GAZETTEER_RANK
+
+
+def _word_candidates(text: str, gazetteer: Gazetteer) -> list:
+    """Gazetteer, number-word and capitalized-run candidates from one scan
+    of the `_WORD_RE` words."""
+    found: list = []
     buckets = gazetteer.buckets
-    for run in _TOKEN_RUN_RE.finditer(text):
-        pos = run.start()
-        for term, etype in buckets.get(run.group(), ()):
-            end = pos + len(term)
-            if text.startswith(term, pos) and _on_token_boundary(text, pos, end):
-                yield pos, end, etype, (_SRC_GAZETTEER, 0)
+    # "'", "’" and "-" join \w+ runs into one word
+    joined = "'" in text or "’" in text or "-" in text
+    run_start = run_end = -1
+    for index, word in enumerate(_WORD_RE.finditer(text)):
+        token = word.group()
+        # A term that starts with a word character can only match where a
+        # \w+ run starts, and only if that run is the term's first token.
+        if joined and ("'" in token or "’" in token or "-" in token):
+            for run in _TOKEN_RUN_RE.finditer(text, word.start(), word.end()):
+                bucket = buckets.get(run.group())
+                if bucket is not None:
+                    found.extend(_term_candidates(text, run.start(), bucket))
+        else:
+            bucket = buckets.get(token)
+            if bucket is not None:
+                found.extend(_term_candidates(text, word.start(), bucket))
+        if token.casefold() in _NUMBER_WORDS:
+            found.append((*word.span(), "CARDINAL", _NUMBER_WORD_RANK))
+        if token[0].isupper():
+            # Never let the sentence-initial token open or join a run; its
+            # capitalization is forced by orthography.
+            if not index:
+                continue
+            start, end = word.span()
+            if run_start >= 0 and text[run_end:start].strip():
+                found.append((run_start, run_end, "MISC", _CAPRUN_RANK))
+                run_start = -1
+            if run_start < 0:
+                run_start = start
+            run_end = end
+        elif run_start >= 0:
+            found.append((run_start, run_end, "MISC", _CAPRUN_RANK))
+            run_start = -1
+    if run_start >= 0:
+        found.append((run_start, run_end, "MISC", _CAPRUN_RANK))
+    return found
+
+
+def _fallback_candidates(text: str, gazetteer: Gazetteer):
+    """Matches of the terms that do not start with a word character."""
     for term, etype in gazetteer.fallback:
         pos = text.find(term)
         while pos != -1:
             end = pos + len(term)
             if _on_token_boundary(text, pos, end):
-                yield pos, end, etype, (_SRC_GAZETTEER, 0)
+                yield pos, end, etype, _GAZETTEER_RANK
             pos = text.find(term, pos + 1)
 
 
-def _pattern_candidates(text: str):
-    for regex, etype, sub in _PATTERNS:
-        for match in regex.finditer(text):
-            yield match.start(), match.end(), etype, (_SRC_PATTERN, sub)
-    for match in _WORD_RE.finditer(text):
-        if match.group().casefold() in _NUMBER_WORDS:
-            yield match.start(), match.end(), "CARDINAL", (_SRC_PATTERN, 5)
-
-
-def _capitalized_run_candidates(text: str):
-    tokens = list(_WORD_RE.finditer(text))
-    run: list[re.Match] = []
-    for index, tok in enumerate(tokens):
-        if tok.group()[0].isupper():
-            # Never let the sentence-initial token open or join a run; its
-            # capitalization is forced by orthography.
-            if index == 0:
-                continue
-            if run and text[run[-1].end() : tok.start()].strip():
-                yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
-                run = []
-            run.append(tok)
-        else:
-            if run:
-                yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
-                run = []
-    if run:
-        yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
+def _pattern_candidates(text: str) -> list:
+    """Matches of the patterns, each run only on text it can match in."""
+    patterns = []
+    if _MONTH_NAME_RE.search(text):
+        patterns.append(_MONTH_DATE)
+    if _DIGIT_RE.search(text):  # the other four patterns all need a digit
+        patterns += (_YEAR, _INTEGER)
+        if "%" in text:
+            patterns.append(_PERCENT)
+        if "$" in text or "£" in text or "€" in text:
+            patterns.append(_MONEY)
+    return [
+        (match.start(), match.end(), etype, rank)
+        for regex, etype, rank in patterns
+        for match in regex.finditer(text)
+    ]
 
 
 def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]]):
@@ -280,24 +324,18 @@ def recognize_builtin(
     text = sentence.text
     if not isinstance(gazetteers, Gazetteer):
         gazetteers = Gazetteer(gazetteers or {})
-    candidates = list(_gazetteer_candidates(text, gazetteers))
+    candidates = _word_candidates(text, gazetteers)
+    candidates.extend(_fallback_candidates(text, gazetteers))
     candidates.extend(_pattern_candidates(text))
-    candidates.extend(_capitalized_run_candidates(text))
-    offsets = ByteOffsets(text)
+    offsets = None if text.isascii() else ByteOffsets(text)
     mentions: list[EntityMention] = []
     for start, end, etype in _resolve_overlaps(candidates):
         surface = text[start:end]
         key = normalize_key(surface)
         if not key:
             continue
-        mentions.append(
-            EntityMention(
-                surface=surface,
-                entity_type=etype,
-                char_span=offsets.byte_span(start, end),
-                normalized_key=key,
-            )
-        )
+        span = (start, end) if offsets is None else offsets.byte_span(start, end)
+        mentions.append(EntityMention(surface, etype, span, key))
     return mentions
 
 

@@ -13,6 +13,9 @@ import os
 
 from .errors import ParseError
 
+# json.dumps builds a new encoder on every call that passes options
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 def iter_lines(path: str, comments: bool = False, opener=open):
     """(line number, stripped line) for each non-blank line of a UTF-8 file;
@@ -61,7 +64,8 @@ def write_text(text: str, path: str) -> None:
 
 def write_jsonl(records, path: str) -> None:
     """One JSON value per '\\n'-ended line, non-ASCII text kept as is."""
-    write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records), path)
+    encode = _JSONL_ENCODER.encode
+    write_text("".join(encode(record) + "\n" for record in records), path)
 
 
 def write_json(payload, path: str, indent: int | None = None) -> None:

@@ -11,12 +11,23 @@ import heapq
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
 from minprompt.corpus import _is_abbreviation
-from minprompt.entities import _SRC_GAZETTEER, _on_token_boundary
+from minprompt.entities import (
+    _MONTHS,
+    _NUMBER_WORDS,
+    _SRC_CAPRUN,
+    _SRC_GAZETTEER,
+    _SRC_PATTERN,
+    EntityMention,
+    _on_token_boundary,
+    normalize_key,
+)
 from minprompt.errors import ValidationError
+from minprompt.offsets import ByteOffsets
 from minprompt.retrieval import B, K1, tokenize
 
 _BRUTE_FORCE_LIMIT = 25
@@ -363,9 +374,75 @@ def quadratic_resolve_overlaps(candidates):
     return accepted
 
 
+# The builtin recognizer's patterns, with the year and integer patterns
+# written lookbehind first.
+_PATTERNS = (
+    (
+        re.compile(
+            r"\b(?:%s)(?:\s+\d{1,2}(?:st|nd|rd|th)?)?(?:,?\s+\d{4})?\b" % "|".join(_MONTHS)
+        ),
+        "DATE",
+        0,
+    ),
+    (re.compile(r"(?<!\d)\d{4}(?!\d)"), "DATE", 1),
+    (re.compile(r"(?<![\w.])\d+(?:\.\d+)?%"), "PERCENT", 2),
+    (re.compile(r"[$£€]\d(?:[\d,]*\d)?(?:\.\d+)?"), "MONEY", 3),
+    (re.compile(r"(?<![\w.,])\d(?:[\d,]*\d)?(?![\w%])(?!\.\d)(?!,\d)"), "CARDINAL", 4),
+)
+_WORD_RE = re.compile(r"\w+(?:['’\-]\w+)*")
+
+
+def loop_pattern_candidates(text: str):
+    """Every pattern run over the whole text, then each word casefolded."""
+    for regex, etype, sub in _PATTERNS:
+        for match in regex.finditer(text):
+            yield match.start(), match.end(), etype, (_SRC_PATTERN, sub)
+    for match in _WORD_RE.finditer(text):
+        if match.group().casefold() in _NUMBER_WORDS:
+            yield match.start(), match.end(), "CARDINAL", (_SRC_PATTERN, 5)
+
+
+def loop_capitalized_run_candidates(text: str):
+    """Runs of capitalized words that only whitespace separates; the
+    sentence-initial word never opens or joins one."""
+    tokens = list(_WORD_RE.finditer(text))
+    run: list[re.Match] = []
+    for index, tok in enumerate(tokens):
+        if tok.group()[0].isupper():
+            if index == 0:
+                continue
+            if run and text[run[-1].end() : tok.start()].strip():
+                yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
+                run = []
+            run.append(tok)
+        else:
+            if run:
+                yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
+                run = []
+    if run:
+        yield run[0].start(), run[-1].end(), "MISC", (_SRC_CAPRUN, 0)
+
+
+def three_loop_recognize(sentence, table) -> list[EntityMention]:
+    """entities.recognize_builtin as one loop per candidate source: the
+    per-term gazetteer scan, the patterns and the capitalized runs, resolved
+    by the quadratic overlap step."""
+    text = sentence.text
+    candidates = list(scan_gazetteer_candidates(text, table))
+    candidates.extend(loop_pattern_candidates(text))
+    candidates.extend(loop_capitalized_run_candidates(text))
+    offsets = ByteOffsets(text)
+    mentions = []
+    for start, end, etype in quadratic_resolve_overlaps(candidates):
+        surface = text[start:end]
+        key = normalize_key(surface)
+        if key:
+            mentions.append(EntityMention(surface, etype, offsets.byte_span(start, end), key))
+    return mentions
+
+
 def naive_token_f1(prediction: str, golds: list[str]) -> float:
     """Bag-of-words F1 written from the definition, max over golds."""
-    import re
 
     def bag(text: str) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -1,0 +1,62 @@
+"""The benchmark's tracer still finds what it wraps in the package.
+
+perfbench/tracing.py wraps package attributes by name, and derives
+entities.us_per_sentence from one recognize_builtin span per sentence. It
+is loaded here by path under a module name of its own, because the
+benchmark's tests have a conftest of their own and cannot be collected
+together with these.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+import minprompt
+import minprompt.cli  # TRACED names the cli module, which the package does not import
+from conftest import make_sentence
+from minprompt import entities
+from minprompt.entities import RecognizerConfig
+
+TRACING_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
+)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("minprompt_bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+def test_every_traced_attribute_exists():
+    for module_name, owner_name, attr, _span, _hook in tracing.TRACED:
+        module = getattr(minprompt, module_name)
+        owner = getattr(module, owner_name) if owner_name else module
+        assert attr in owner.__dict__, f"{module_name}.{owner_name or ''}{attr}"
+
+
+def test_builtin_recognize_records_one_span_per_sentence():
+    texts = ["The Lakers moved to Los Angeles in 1960.", "He scored forty points.", "no"]
+    sentences = [make_sentence(i, text) for i, text in enumerate(texts)]
+    original = entities.recognize_builtin
+    tracer = tracing.Tracer()
+    tracer.install(minprompt)
+    try:
+        mentions = entities.recognize(sentences, RecognizerConfig())
+    finally:
+        tracer.restore()
+    assert entities.recognize_builtin is original
+    spans = tracer.spans
+    (top,) = [i for i, span in enumerate(spans) if span[0] == "entities.recognize"]
+    builtin = [span for span in spans if span[0] == "entities.recognize_builtin"]
+    assert len(builtin) == len(sentences)
+    assert all(parent == top for _name, _start, _end, parent in builtin)
+    metrics = tracing.layer_metrics(spans, tracer.counts, 0)
+    assert metrics["entities.mentions_per_sentence"] == (
+        sum(map(len, mentions.values())) / len(sentences)
+    )
