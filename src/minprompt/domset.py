@@ -14,14 +14,16 @@ A selection lowers by one, for each node it newly covers, the residual
 of every uncovered neighbor of that node: only the nodes that share a key
 with a newly covered node change. So the updates wait (Minoux 1978 makes
 the greedy lazy the same way): a selection marks the keys of the nodes it
-newly covered, and one pass of the graph's neighborhood kernel over all
-the nodes covered since the last pass (a flush) applies them, counting
-only keys that still have uncovered members. A stored residual is then
-exact or too high, and exact unless the node holds a marked key. A
-candidate is flushed for only when its stored residual equals the bucket's
-priority and its key row holds a marked key; one whose stored residual is
-lower is re-pushed at that residual and looked at again there. Every pick
-is thus made on exact residuals and the selection is the eager greedy's.
+newly covered, and one call of the graph's neighborhood kernel with step
+-1 over all the nodes covered since the last call (a flush) applies
+them, counting only keys that still have uncovered members. It lowers
+covered nodes too, whose residuals are never read again. A stored
+residual is then exact or too high, and exact unless the node holds a
+marked key. A candidate is flushed for only when its stored residual
+equals the bucket's priority and its key row holds a marked key; one
+whose stored residual is lower is re-pushed at that residual and looked
+at again there. Every pick is thus made on exact residuals and the
+selection is the eager greedy's.
 Queue work is O(V + E); auxiliary state is O(V + total posting length)
 plus one kernel chunk.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sentgraph import SentenceGraph, _run_starts
+from .sentgraph import SentenceGraph
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
@@ -86,7 +88,7 @@ def approx_dominating_set(
         marked[touched] = False
         np.subtract.at(alive, touched, 1)
         live[touched] = alive[touched] > 0
-        _drop_residuals(graph, newly, live, covered, residual)
+        graph._add_neighbor_hits(newly, residual, -1, live)
 
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
@@ -143,28 +145,6 @@ def approx_dominating_set(
         covered=n,
         uncovered_entities=uncovered_entities,
     )
-
-
-def _drop_residuals(
-    graph: SentenceGraph,
-    newly: np.ndarray,
-    live: np.ndarray,
-    covered: np.ndarray,
-    residual: np.ndarray,
-) -> None:
-    """Decrement, once per newly covered neighbor, each uncovered node's residual."""
-    hub, chunks = graph._neighbor_codes(newly, live)
-    for _, w in chunks:
-        np.subtract.at(residual, w[~covered[w]], 1)
-    # each newly covered node also neighbors every member of its hub key
-    hubs = np.sort(hub[hub >= 0])
-    if not hubs.size:
-        return
-    first = np.flatnonzero(_run_starts(hubs))
-    members, lengths = graph._members_of(hubs[first])
-    weights = np.repeat(np.append(first[1:], hubs.size) - first, lengths)
-    open_ = ~covered[members]
-    np.subtract.at(residual, members[open_], weights[open_])
 
 
 def is_dominating_set(graph: SentenceGraph, candidate) -> bool:

@@ -350,12 +350,13 @@ def _validate_record(
     sid = record["sentence_id"]
     start, end = record["start"], record["end"]
     surface, etype = record["surface"], record["type"]
-    if not isinstance(sid, int) or sid not in sentences_by_id:
+    # exact types: bool is an int subclass, and True == 1
+    if type(sid) is not int or sid not in sentences_by_id:
         raise ValidationError(f"unknown sentence_id {sid!r}")
     if etype not in ENTITY_TYPES:
         raise ValidationError(f"unknown entity type {etype!r}")
     sentence = sentences_by_id[sid]
-    if not isinstance(start, int) or not isinstance(end, int) or not start < end:
+    if type(start) is not int or type(end) is not int or not start < end:
         raise ValidationError(f"invalid span ({start!r}, {end!r})")
     if end > byte_length(sentence.text):
         raise ValidationError(f"span ({start}, {end}) out of bounds for sentence {sid}")

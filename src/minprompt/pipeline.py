@@ -594,7 +594,25 @@ def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
 def _read_retrieved(state: PipelineState, path: str) -> dict[int, int] | None:
     if not os.path.exists(path):
         return None
-    return {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path)}
+    query_of = {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path)}
+    # exact types: bool is an int subclass
+    if not {int}.issuperset(map(type, [*query_of, *query_of.values()])):
+        raise ValidationError("retrieved sentence ids must be ints")
+    return query_of
+
+
+def _read_selection(state: PipelineState, path: str) -> dict:
+    """selection.json, its ids checked against graph_stats.json's node count."""
+    selection = read_json(path)
+    nodes = _node_count(state)
+    selected, size = selection["selected"], selection["size"]
+    if not isinstance(selected, list) or not all(
+        type(v) is int and 0 <= v < nodes for v in selected
+    ):
+        raise ValidationError(f"'selected' must be a list of sentence ids in 0..{nodes - 1}")
+    if type(size) is not int or size != len(selected):
+        raise ValidationError(f"'size' is {size!r} but 'selected' holds {len(selected)} ids")
+    return selection
 
 
 # field of PipelineState -> (file in the output directory, writer(value, path),
@@ -616,14 +634,12 @@ ARTIFACTS = {
     "graph": (
         "postings.jsonl",
         lambda v, p: sentgraph_mod.write_postings_dump(v, p),
-        lambda st, p: sentgraph_mod.read_postings_dump(
-            p, *_artifact_fields(st, "graph_stats", "nodes")
-        ),
+        lambda st, p: sentgraph_mod.read_postings_dump(p, _node_count(st)),
     ),
     "graph_stats": (
         "graph_stats.json", lambda v, p: write_json(v, p, indent=2), lambda st, p: read_json(p)
     ),
-    "selection": ("selection.json", write_json, lambda st, p: read_json(p)),
+    "selection": ("selection.json", write_json, _read_selection),
     "samples": ("samples.jsonl", lambda v, p: qgen_mod.write_samples_jsonl(v, p), None),
     # with timings.json
     "stats": (
@@ -659,6 +675,18 @@ def _artifact_fields(state: PipelineState, name: str, *keys: str) -> list:
             f"{ARTIFACTS[name][0]}: malformed artifact, missing {', '.join(map(repr, missing))}"
         )
     return [value[key] for key in keys]
+
+
+def _node_count(state: PipelineState) -> int:
+    """graph_stats.json's node count; one that is not a non-negative int is
+    a PipelineError naming the file."""
+    (nodes,) = _artifact_fields(state, "graph_stats", "nodes")
+    if type(nodes) is not int or nodes < 0:  # exact: bool is an int subclass
+        raise PipelineError(
+            f"{ARTIFACTS['graph_stats'][0]}: malformed artifact, 'nodes' is {nodes!r},"
+            " not a non-negative int"
+        )
+    return nodes
 
 
 def save_artifacts(state: PipelineState, out_dir: str, names) -> None:

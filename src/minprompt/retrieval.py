@@ -141,33 +141,23 @@ def rank(
 ) -> list[tuple[int, float]]:
     """All indexed sentences by descending score, ties by ascending id.
 
-    Zero-score sentences follow the scored ones in ascending id order, so
-    the ordering equals a full sort by (-score, id). Each query token adds
-    its weights in query order, duplicates included.
+    BM25 weights are positive, so the sentences sharing no query term are
+    exactly the zero-score ones, and they follow the others in id order.
+    Each query token adds its weights in query order, duplicates included.
     """
     scores = np.zeros(len(index.sentences))
-    touched = np.zeros(len(index.sentences), dtype=bool)
     for term in query_tokens:
         ids, weights = index.postings(term)
         scores[ids] += weights
-        touched[ids] = True
-    scored_ids = np.flatnonzero(touched)  # ascending, so stable sorts break ties by id
-    negated = -scores[scored_ids]
-    if limit is not None and limit < scored_ids.size:
+    ids = index.indexed_ids  # ascending, so stable sorts break ties by id
+    negated = -scores[ids]
+    if limit is not None and limit < ids.size:
         # only ids scoring at least the limit-th best can make the cut
         cutoff = np.partition(negated, limit - 1)[limit - 1]
         keep = np.flatnonzero(negated <= cutoff)
-        scored_ids, negated = scored_ids[keep], negated[keep]
-    order = np.argsort(negated, kind="stable")
-    if limit is not None:
-        order = order[:limit]
-    ordered = list(zip(scored_ids[order].tolist(), (-negated[order]).tolist()))
-    if limit is None or len(ordered) < limit:
-        tail = index.indexed_ids[~touched[index.indexed_ids]]
-        if limit is not None:
-            tail = tail[: limit - len(ordered)]
-        ordered.extend((sid, 0.0) for sid in tail.tolist())
-    return ordered
+        ids, negated = ids[keep], negated[keep]
+    order = np.argsort(negated, kind="stable")[:limit]
+    return list(zip(ids[order].tolist(), (-negated[order]).tolist()))
 
 
 def retrieve_support_sentence(

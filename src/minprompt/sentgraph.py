@@ -11,31 +11,34 @@ The build interns the sorted keys once and fills both directions in bulk:
 one sort of the ``key * V + member`` codes, adjacent duplicates dropped,
 `bincount` for the row pointers.
 
-The greedy's residual updates come from one kernel,
-`SentenceGraph._neighbor_codes`. It splits an owner node's closed
-neighborhood into the members of its longest key, which it never expands,
-and the rest: the owner's other postings, expanded into
-``owner * V + member`` codes in chunks of about `_CHUNK_CODES` codes (one
-owner is never split across chunks), made distinct by a sort and an
-adjacent-difference mask, minus the members of the longest key (is that
-key in the member's own key row?). So a one-key node costs O(1) even
-inside a megaclique, and a hub member pays only for its other keys. No
-edge list is ever materialized: memory stays O(V + total posting length)
-plus one chunk.
+The degree pass and the greedy's residual updates share one kernel,
+`SentenceGraph._add_neighbor_hits`: for distinct owner nodes it adds a
+step to every node once per owner whose closed neighborhood holds it. It
+never expands an owner's longest key (its hub) per owner: each hub's
+members get the step times the owners sharing it. The owners' other
+postings are expanded into ``owner * V + member`` codes in chunks of
+about `_CHUNK_CODES` codes (one owner is never split across chunks),
+made distinct by a sort and an adjacent-difference mask, minus the hub's
+members (is the hub in the member's own key row?). So a one-key node
+costs O(1) even inside a megaclique, and a hub member pays only for its
+other keys. No edge list is ever materialized: memory stays O(V + total
+posting length) plus one chunk.
 
 Degrees are counted, not expanded. A node v whose key row K(v) has at
-most `_IE_ROW` keys (a short row) gets its degree by inclusion-exclusion:
-the sum over the nonempty subsets S of K(v) of (-1)**(|S| + 1) N(S),
-minus 1, where N(S) is the number of short rows that hold all of S. For a
-single key that is its short-row length; the larger subsets are counted
-level by level, one sort per level. An s-subset's int64 code is the id of
-its first s - 1 keys times K plus its last key, and a subset's id is the
-rank of its code among the level's distinct codes, so the codes stay below
-(distinct subsets of the level before) * K; the build refuses a graph
-whose codes would pass 2**63 - 1. A long row's degree comes from the
-kernel, and the long row adds itself to the degree of each short-row
-neighbor. Memory is O(V + total posting length) times the subsets of a
-short row per key.
+most `_IE_ROW` keys (a short row) gets its degree by inclusion-exclusion
+over the short rows only: the sum over the nonempty subsets S of K(v) of
+(-1)**(|S| + 1) N(S), minus 1, where N(S) is the number of short rows
+that hold all of S. For a single key that is its member count minus its
+long-row members; the larger subsets are counted level by level, one
+sort per level. An s-subset's int64 code is the id of its first s - 1
+keys times K plus its last key, and a subset's id is the rank of its code
+among the level's distinct codes, so the codes stay below (distinct
+subsets of the level before) * K; the build refuses a graph whose codes
+would pass 2**63 - 1. The long rows are the kernel's owners with step 1:
+each adds itself to every node of its closed neighborhood, which counts
+it into its short-row neighbors' degrees, and its own degree is its
+closed-neighborhood size minus 1. Memory is O(V + total posting length)
+times the subsets of a short row per key.
 """
 
 from __future__ import annotations
@@ -212,15 +215,15 @@ class SentenceGraph:
         lengths = self.key_indptr[keys + 1] - starts
         return self.key_members[_ranges(starts, lengths)], lengths
 
-    def _neighbor_codes(self, owners: np.ndarray, live: np.ndarray | None = None):
-        """The kernel: the closed neighborhoods of the distinct `owners`.
+    def _add_neighbor_hits(
+        self, owners: np.ndarray, out: np.ndarray, step: int, live: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The kernel: add `step` to out[w] once for each of the distinct
+        `owners` whose closed neighborhood holds w, and return the size of
+        each owner's closed neighborhood (see the module docstring).
 
         Only keys where the boolean key mask `live` is set count, all keys
-        without it. Returns (hub, chunks): hub[i] is the longest such key
-        of owners[i], -1 if it has none; chunks yields (i, w) array pairs,
-        sorted by i then w, one pair per distinct w that is in another such
-        key of owners[i] but not in hub[i]. The closed neighborhood of
-        owners[i] is the members of hub[i] plus its w.
+        without it; an owner with no such key has an empty neighborhood.
         """
         key_count = len(self.keys)
         keys = self._keys_of(owners)
@@ -231,17 +234,33 @@ class SentenceGraph:
         if live is not None:
             keep = live[keys]
             keys, owner = keys[keep], owner[keep]
-        lengths = self.key_indptr[keys + 1] - self.key_indptr[keys]
-        hub = np.full(owners.size, -1, dtype=np.int64)
+        sizes = np.zeros(owners.size, dtype=np.int64)
         if not keys.size:
-            return hub, iter(())
+            return sizes
+        lengths = self.key_indptr[keys + 1] - self.key_indptr[keys]
         first = np.flatnonzero(_run_starts(owner))
+        have = owner[first]  # the owners with a counted key
+        hub = np.full(owners.size, -1, dtype=np.int64)
         # the longest key, the larger id on ties; any key would be correct
-        hub[owner[first]] = np.maximum.reduceat(lengths * key_count + keys, first) % key_count
+        sizes[have], hub[have] = np.divmod(
+            np.maximum.reduceat(lengths * key_count + keys, first), key_count
+        )
+        hubs = np.sort(hub[have])
+        starts = np.flatnonzero(_run_starts(hubs))
+        members, hub_lengths = self._members_of(hubs[starts])
+        shared = np.diff(np.append(starts, hubs.size))
+        np.add.at(out, members, np.repeat(shared * step, hub_lengths))
         rest = keys != hub[owner]
-        return hub, self._chunks(owner[rest], keys[rest], lengths[rest], hub)
+        for i, w in self._chunks(owner[rest], keys[rest], lengths[rest], hub):
+            if i.size:
+                counts = np.bincount(i - i[0])
+                sizes[i[0] : i[0] + counts.size] += counts
+                np.add.at(out, w, step)
+        return sizes
 
     def _chunks(self, owner: np.ndarray, keys: np.ndarray, lengths: np.ndarray, hub: np.ndarray):
+        """(i, w) array pairs, sorted by i then w: each distinct member w of
+        the (owner, key) pairs, by owner index i, that is not in hub[i]."""
         n = self.node_count
         ends = np.flatnonzero(np.append(owner[1:] != owner[:-1], True)) + 1 if owner.size else owner
         expanded = np.cumsum(lengths)
@@ -276,39 +295,25 @@ class SentenceGraph:
     def _degrees(self) -> np.ndarray:
         """Each node's count of distinct neighbors (see the module docstring)."""
         lengths = np.diff(self.node_indptr)
-        short = lengths <= _IE_ROW
         by_length = [np.flatnonzero(lengths == r) for r in range(1, _IE_ROW + 1)]
-        long_rows = np.flatnonzero(~short)
+        long_rows = np.flatnonzero(lengths > _IE_ROW)
         del lengths
         degrees = np.zeros(self.node_count, dtype=np.int64)
-        hub_count = self._add_long_degrees(degrees, long_rows, short)
-        # level 1 of inclusion-exclusion: N({k}) is k's short-row members,
-        # plus the long rows that neighbor all of k
-        single = np.diff(self.key_indptr) + hub_count
+        # each long row adds 1 to every node of its closed neighborhood;
+        # blocks of owners keep the kernel's per-(owner, key) arrays small
+        sizes = np.empty(long_rows.size, dtype=np.int64)
+        for lo in range(0, long_rows.size, _CHUNK_CODES):
+            owners = long_rows[lo : lo + _CHUNK_CODES]
+            sizes[lo : lo + owners.size] = self._add_neighbor_hits(owners, degrees, 1)
+        degrees[long_rows] = sizes - 1
+        # level 1 of inclusion-exclusion: N({k}) is k's short-row members
+        single = np.diff(self.key_indptr)
         single -= np.bincount(self._keys_of(long_rows), minlength=single.size)
         for r, rows in enumerate(by_length, 1):
             keys = self.node_keys[self.node_indptr[rows, None] + np.arange(r)]
             degrees[rows] += single[keys].sum(axis=1) - 1
         self._add_subset_counts(degrees, by_length)
         return degrees
-
-    def _add_long_degrees(self, degrees: np.ndarray, long_rows: np.ndarray, short: np.ndarray):
-        """Set each long row's degree by the kernel, and add 1 to each of its
-        short-row neighbors outside its longest key. Returns how many long
-        rows have each key as their longest: each neighbors all of that key."""
-        hub_count = np.zeros(len(self.keys), dtype=np.int64)
-        # blocks of owners keep the kernel's per-(owner, key) arrays small too
-        for lo in range(0, long_rows.size, _CHUNK_CODES):
-            owners = long_rows[lo : lo + _CHUNK_CODES]
-            hub, chunks = self._neighbor_codes(owners)
-            degrees[owners] = self.key_indptr[hub + 1] - self.key_indptr[hub] - 1
-            hub_count += np.bincount(hub, minlength=hub_count.size)
-            for i, w in chunks:
-                if i.size:
-                    counts = np.bincount(i - i[0])
-                    degrees[owners[i[0] : i[0] + counts.size]] += counts
-                    np.add.at(degrees, w[short[w]], 1)
-        return hub_count
 
     def _add_subset_counts(self, degrees: np.ndarray, by_length: list[np.ndarray]) -> None:
         """Levels 2.._IE_ROW of inclusion-exclusion: add (-1)**(s + 1) N(S)

@@ -67,9 +67,11 @@ def lakers_sentences():
 
 class RecognizerHandler(BaseHTTPRequestHandler):
     """The HTTP recognizer of the `recognizer_service` fixture; `behavior`
-    picks its replies, `posted_texts` records every sentence sent to it."""
+    picks its replies ("records" replies with `records` as they are),
+    `posted_texts` records every sentence sent to it."""
 
     behavior = "echo_empty"
+    records: list[dict] = []
     failures_left = 0
     request_count = 0
     posted_texts: list[str] = []
@@ -104,7 +106,7 @@ class RecognizerHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
             return
-        mentions = []
+        mentions = list(cls.records) if cls.behavior == "records" else []
         if cls.behavior == "always_sentence_0":
             # a valid record for sentence 0, whatever the batch holds
             mentions.append(
@@ -157,6 +159,7 @@ def recognizer_service():
     RecognizerHandler.failures_left = 0
     RecognizerHandler.request_count = 0
     RecognizerHandler.posted_texts = []
+    RecognizerHandler.records = []
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()
     server.server_close()

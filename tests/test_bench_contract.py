@@ -1,7 +1,8 @@
 """The benchmark's tracer still finds what it wraps in the package.
 
 perfbench/tracing.py wraps package attributes by name, and derives
-entities.us_per_sentence from one recognize_builtin span per sentence. It
+entities.us_per_sentence from one recognize_builtin span per sentence and
+domset.neighborhood_calls from one closed_neighborhood span per pick. It
 is loaded here by path under a module name of its own, because the
 benchmark's tests have a conftest of their own and cannot be collected
 together with these.
@@ -15,7 +16,7 @@ import os
 import minprompt
 import minprompt.cli  # TRACED names the cli module, which the package does not import
 from conftest import make_sentence
-from minprompt import entities
+from minprompt import domset, entities, sentgraph
 from minprompt.entities import RecognizerConfig
 
 TRACING_PATH = os.path.join(
@@ -60,3 +61,26 @@ def test_builtin_recognize_records_one_span_per_sentence():
     assert metrics["entities.mentions_per_sentence"] == (
         sum(map(len, mentions.values())) / len(sentences)
     )
+
+
+def test_greedy_records_one_neighborhood_span_per_pick():
+    # node 2 covers 0-3, node 4 covers 4-5; nodes 6-9 share no key and are
+    # selected together in the final step, without a neighborhood call
+    postings = {"a": [0, 1, 2], "b": [2, 3], "c": [4, 5]}
+    tracer = tracing.Tracer()
+    tracer.install(minprompt)
+    try:
+        graph = sentgraph.SentenceGraph.from_postings(10, postings)
+        result = domset.approx_dominating_set(graph)
+    finally:
+        tracer.restore()
+    assert result.selected == (2, 4, 6, 7, 8, 9)
+    spans = tracer.spans
+    (solve,) = [i for i, span in enumerate(spans) if span[0] == "domset.approx_dominating_set"]
+    neighborhoods = [span for span in spans if span[0] == "domset.closed_neighborhood"]
+    assert len(neighborhoods) == 2
+    assert all(parent == solve for _name, _start, _end, parent in neighborhoods)
+    metrics = tracing.layer_metrics(spans, tracer.counts, 0)
+    assert metrics["domset.neighborhood_calls"] == 2
+    assert metrics["domset.selected"] == len(result.selected)
+    assert metrics["sentgraph.edges"] == graph.edge_count() == 5

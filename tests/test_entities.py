@@ -409,6 +409,23 @@ class TestServiceMode:
         with pytest.raises(ValidationError, match="batch 1 record 0: unknown sentence_id 0"):
             recognize_service(sentences, recognizer_service, batch_size=2, max_in_flight=1)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"sentence_id": True, "start": 4, "end": 10}, "unknown sentence_id True"),
+            ({"sentence_id": 1, "start": False, "end": 3}, r"invalid span \(False, 3\)"),
+        ],
+        ids=["bool_sentence_id", "bool_offset"],
+    )
+    def test_bool_id_or_offset_rejected(self, recognizer_service, record, message):
+        # true == 1 and false == 0, but a JSON boolean is not an id or an offset
+        RecognizerHandler.behavior = "records"
+        surface = "The Lakers won."[record["start"] : record["end"]]
+        RecognizerHandler.records = [{**record, "surface": surface, "type": "ORG"}]
+        sentences = [make_sentence(i, "The Lakers won.") for i in range(2)]
+        with pytest.raises(ValidationError, match=f"batch 0 record 0: {message}"):
+            recognize_service(sentences, recognizer_service)
+
     def test_dispatcher_service_mode(self, recognizer_service):
         RecognizerHandler.behavior = "lakers"
         config = RecognizerConfig(mode="service", service_endpoint=recognizer_service)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from minprompt import domset, sentgraph
+from minprompt import sentgraph
 from minprompt.domset import approx_dominating_set, is_dominating_set
 from minprompt.errors import ValidationError
 from minprompt.sentgraph import SentenceGraph
@@ -85,6 +85,45 @@ def test_is_dominating_set_matches_matrix_oracle(case, data):
     adjacency = oracles.matrix_from_postings(n, {k: list(v) for k, v in postings.items()})
     expected = oracles.matrix_is_dominating(adjacency, candidate)
     assert is_dominating_set(graph, candidate) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_postings(), st.data())
+def test_neighbor_hits_match_brute_force(case, data):
+    # the kernel behind both the long-row degrees and the greedy's flushes:
+    # distinct owners in any order, a random live key mask or none, step +-1
+    n, postings, chunk = case
+    with mock.patch.object(sentgraph, "_CHUNK_CODES", chunk):
+        graph = SentenceGraph.from_postings(n, postings)
+        owners = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+        owners = data.draw(st.permutations(sorted(owners)))
+        key_count = len(graph.keys)
+        live = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=key_count, max_size=key_count)
+        )
+        step = data.draw(st.sampled_from([1, -1]))
+        start = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        out = np.array(start, dtype=np.int64)
+        sizes = graph._add_neighbor_hits(
+            np.array(owners, dtype=np.int64),
+            out,
+            step,
+            None if live is None else np.array(live, dtype=bool),
+        )
+    counted = [
+        set(map(int, postings[key]))
+        for k, key in enumerate(graph.keys)
+        if live is None or live[k]
+    ]
+    expected = list(start)
+    expected_sizes = []
+    for v in owners:
+        closed = set().union(*(members for members in counted if v in members))
+        expected_sizes.append(len(closed))
+        for w in closed:
+            expected[w] += step
+    assert sizes.tolist() == expected_sizes
+    assert out.tolist() == expected
 
 
 def assert_degrees_match(n, postings):
@@ -158,13 +197,13 @@ class TestBatchedGreedy:
     def solve_counting_flushes(n, postings):
         graph = SentenceGraph.from_postings(n, postings)
         calls = []
-        original = domset._drop_residuals
+        original = SentenceGraph._add_neighbor_hits
 
-        def counted(graph, newly, *rest):
-            calls.append(newly.size)
-            return original(graph, newly, *rest)
+        def counted(self, owners, *rest):
+            calls.append(owners.size)
+            return original(self, owners, *rest)
 
-        with mock.patch.object(domset, "_drop_residuals", counted):
+        with mock.patch.object(SentenceGraph, "_add_neighbor_hits", counted):
             result = approx_dominating_set(graph)
         expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings))
         assert result.selected == expected["selected"]

@@ -249,6 +249,24 @@ class TestConfig:
         )
         load_config(with_support).validate()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"sentence_id": True}, {"start": False}, {"end": True, "surface": "T"}],
+        ids=["sentence_id", "start", "end"],
+    )
+    def test_sidecar_bool_id_or_offset_names_its_line(self, tmp_path, capsys, bad):
+        # sentence 1 is "The Lakers moved to Los Angeles in 1960.": true would
+        # pass as sentence 1, false as offset 0 and true as offset 1
+        records = [
+            {"sentence_id": 0, "start": 4, "end": 10, "surface": "Lakers", "type": "ORG"},
+            {"sentence_id": 1, "start": 0, "end": 3, "surface": "The", "type": "MISC", **bad},
+        ]
+        sidecar = tmp_path / "mentions.jsonl"
+        sidecar.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        path = write_fixture_config(tmp_path, recognizer_mode="sidecar", sidecar_path=str(sidecar))
+        assert main(["run", "--config", path]) == 2
+        assert f"{sidecar}:2: " in capsys.readouterr().err
+
     def test_workers_caps_service_batches_in_flight(self, tmp_path):
         path = write_fixture_config(tmp_path, workers="2")
         assert load_config(path).recognizer_config().max_in_flight == 2
@@ -579,6 +597,57 @@ class TestCli:
         assert main([command, "--config", staged_cfg]) == 1
         assert capsys.readouterr().err.startswith(
             f"minprompt: error: {file_name}: malformed artifact"
+        )
+
+    @pytest.mark.parametrize(
+        "file_name, field, value, command",
+        [
+            ("selection.json", "selected", [True], "generate"),
+            ("selection.json", "selected", [9999], "generate"),
+            ("selection.json", "selected", [-1], "generate"),
+            ("selection.json", "selected", "0", "generate"),
+            ("selection.json", "size", 1, "generate"),
+            ("graph_stats.json", "nodes", 1e3, "select"),
+            ("graph_stats.json", "nodes", True, "select"),
+            ("graph_stats.json", "nodes", -1, "generate"),
+        ],
+        ids=[
+            "selected_bool", "selected_out_of_range", "selected_negative",
+            "selected_not_a_list", "size_differs", "nodes_float", "nodes_bool",
+            "nodes_negative",
+        ],
+    )
+    def test_stage_rejects_a_bad_artifact_value(
+        self, tmp_path, capsys, file_name, field, value, command
+    ):
+        staged_cfg = write_fixture_config(tmp_path)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        path = tmp_path / "out" / file_name
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if field == "selected" and isinstance(value, list):
+            value = payload["selected"][:-1] + value  # same length as 'size'
+        path.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", staged_cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"minprompt: error: {file_name}: malformed artifact"
+        )
+        assert not (tmp_path / "out" / "samples.jsonl").exists()
+
+    @pytest.mark.parametrize("field", ["sentence_id", "query_sentence_id"])
+    def test_generate_rejects_a_retrieved_id_that_is_not_an_int(self, tmp_path, capsys, field):
+        staged_cfg = write_fixture_config(tmp_path, **RETRIEVAL)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        path = tmp_path / "out" / "retrieved.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), field: True})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--config", staged_cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "minprompt: error: retrieved.jsonl: malformed artifact"
         )
 
     @pytest.mark.parametrize(
