@@ -6,41 +6,50 @@ leave candidacy for good. Candidates wait in a bucket queue indexed by
 priority (Dial 1969). Residual degrees only decrease, so no entry is ever
 pushed into the bucket under the max pointer: each bucket is complete when
 the pointer reaches it and is sorted once for the smallest-id tie break.
-An entry whose residual dropped since it was pushed is re-pushed lazily
-into the bucket of its current residual. When the pointer reaches 0 every
-uncovered node covers only itself, so they are all selected in one step.
+When the pointer reaches 0 every uncovered node covers only itself, so
+they are all selected in one step.
 
-A selection lowers by one, for each node it newly covers, the residual
-of every uncovered neighbor of that node: only the nodes that share a key
-with a newly covered node change. So the updates wait (Minoux 1978 makes
-the greedy lazy the same way): a selection marks the keys of the nodes it
-newly covered, and one call of the graph's neighborhood kernel with step
--1 over all the nodes covered since the last call (a flush) applies
-them, counting only keys that still have uncovered members. It lowers
-covered nodes too, whose residuals are never read again. A stored
-residual is then exact or too high, and exact unless the node holds a
-marked key. A candidate is flushed for only when its stored residual
-equals the bucket's priority and its key row holds a marked key; one
-whose stored residual is lower is re-pushed at that residual and looked
-at again there. Every pick is thus made on exact residuals and the
-selection is the eager greedy's.
-Queue work is O(V + E); auxiliary state is O(V + total posting length)
-plus one kernel chunk.
+Residuals are read, not stored, from the counts the degree pass leaves on
+the graph (see sentgraph). A short row v has the formula of its degree on
+the uncovered nodes: the sum over the nonempty subsets S of its keys of
+(-1)**(|S| + 1) N_U(S), minus 1, plus L(v), where N_U(S) counts the
+uncovered short rows holding S and L(v) the uncovered long rows in v's
+closed neighborhood. Covering a short row subtracts 1 from its own
+subset counts, at most 2**5 - 1 of them; covering a long row subtracts 1
+from L over its closed neighborhood with one call of the graph's kernel,
+once per long row per run. A long row's residual is counted from its key
+rows: the uncovered members of its longest key (N_U of the key plus the
+key's uncovered long rows), plus the uncovered members of its other keys
+that are not in the longest.
+
+When the pointer reaches a bucket, one gather reads the residuals of all
+its uncovered nodes. The nodes below the level are re-pushed together into
+the buckets of their residuals (lazily, as Minoux 1978 makes the greedy).
+The rest are at the level and are taken in id order: the first is picked,
+and each later one is re-read, because a pick in the bucket may have
+lowered it; it is picked if still at the level and re-pushed otherwise.
+Every pick is thus made on exact residuals and the selection is the eager
+greedy's. Queue work is O(V + E); the count updates are O(V * 2**5) plus
+the long rows' kernel calls; auxiliary state is O(V + total posting
+length) plus one kernel chunk.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .sentgraph import SentenceGraph
+from .sentgraph import _SUBSET_SIGNS, SentenceGraph, _ranges, _run_starts
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
 DEGREE_MODES = (DEGREE_RESIDUAL, DEGREE_STATIC)
+
+_SIGNS = tuple(_SUBSET_SIGNS.tolist())
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,74 @@ class DominatingSetResult:
     max_degree: int
     covered: int
     uncovered_entities: int
+
+
+class _Residuals:
+    """The residual degree of each uncovered node, read on demand from
+    counts that a covered node updates (see the module docstring)."""
+
+    def __init__(self, graph: SentenceGraph, covered: np.ndarray):
+        self.graph = graph
+        self.covered = covered
+        # N_U(S): the uncovered short rows that hold the key subset S
+        self.counts = graph.subset_counts.copy()
+        self._one = self.counts.dtype.type(1)
+        # the uncovered long rows in each node's closed neighborhood, and
+        # holding each key
+        self.long_hits = graph.long_hits.copy() if graph.long_rows.size else graph.long_hits
+        self.long_members = np.bincount(
+            graph._keys_of(graph.long_rows), minlength=len(graph.keys)
+        )
+        # single values are read through memoryviews, several times
+        # cheaper than indexing the numpy arrays
+        self._count_of = memoryview(self.counts).__getitem__
+        self._long_hits_of = memoryview(self.long_hits)
+        self._at = memoryview(graph.subset_indptr)
+        self._ids = memoryview(graph.subset_ids)
+
+    def of_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """The residuals of distinct uncovered nodes, each with a key."""
+        starts = self.graph.subset_indptr[nodes]
+        # a row with a key and no subsets is long
+        short = self.graph.subset_indptr[nodes + 1] > starts
+        if short.all():
+            return self._short(nodes)
+        residuals = np.empty(nodes.size, dtype=np.int64)
+        residuals[short] = self._short(nodes[short])
+        residuals[~short] = self._long(nodes[~short])
+        return residuals
+
+    def of(self, v: int) -> int:
+        """The residual of one uncovered node with a key."""
+        a, b = self._at[v], self._at[v + 1]
+        if a == b:
+            return int(self._long(np.array([v]))[0])
+        terms = map(self._count_of, self._ids[a:b])
+        return sum(map(operator.mul, _SIGNS, terms)) - 1 + self._long_hits_of[v]
+
+    def _short(self, rows: np.ndarray) -> np.ndarray:
+        # inclusion-exclusion over the uncovered short rows, plus the
+        # uncovered long rows
+        return self.graph._subset_sums(rows, self.counts) - 1 + self.long_hits[rows]
+
+    def _long(self, rows: np.ndarray) -> np.ndarray:
+        # the hub's uncovered members, plus the uncovered members of the
+        # other keys outside the hub
+        hub, outside = self.graph._count_outside_hubs(rows, self.covered)
+        return self.counts[hub] + self.long_members[hub] + outside - 1
+
+    def cover(self, newly: np.ndarray) -> None:
+        """Count out the nodes just covered; each shares a key with the pick."""
+        graph = self.graph
+        starts = graph.subset_indptr[newly]
+        widths = graph.subset_indptr[newly + 1] - starts
+        # a scalar of the counts' own type keeps ufunc.at on its fast path
+        np.subtract.at(self.counts, graph.subset_ids[_ranges(starts, widths)], self._one)
+        if graph.long_rows.size:
+            long = newly[widths == 0]
+            if long.size:
+                np.subtract.at(self.long_members, graph._keys_of(long), 1)
+                graph._add_neighbor_hits(long, self.long_hits, -1)
 
 
 def approx_dominating_set(
@@ -65,31 +142,8 @@ def approx_dominating_set(
         raise ValidationError(f"unknown degree mode {degree_mode!r}")
     n = graph.node_count
     covered = np.zeros(n, dtype=bool)
-    residual = graph.cached_degrees.copy()
-    alive = np.diff(graph.key_indptr)  # uncovered members per key
-    live = alive > 0
-    track_residual = degree_mode == DEGREE_RESIDUAL
-    # the nodes covered since the last flush, their keys, and those keys
-    # marked: only a node holding a marked key can have a stale residual
-    pending_nodes: list[np.ndarray] = []
-    pending_keys: list[np.ndarray] = []
-    marked = np.zeros(len(graph.keys), dtype=bool)
-    # the candidate loop reads single values through memoryviews, several
-    # times cheaper than indexing the numpy arrays
-    is_covered, is_marked = memoryview(covered), memoryview(marked)
-    residual_of = memoryview(residual)
-    indptr, node_keys = memoryview(graph.node_indptr), memoryview(graph.node_keys)
-
-    def flush() -> None:
-        newly = np.concatenate(pending_nodes)
-        touched = np.concatenate(pending_keys)
-        pending_nodes.clear()
-        pending_keys.clear()
-        marked[touched] = False
-        np.subtract.at(alive, touched, 1)
-        live[touched] = alive[touched] > 0
-        graph._add_neighbor_hits(newly, residual, -1, live)
-
+    is_covered = memoryview(covered)
+    residuals = _Residuals(graph, covered) if degree_mode == DEGREE_RESIDUAL else None
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
     by_degree = np.argsort(graph.cached_degrees, kind="stable")
@@ -103,32 +157,35 @@ def approx_dominating_set(
         bucket = by_degree[bucket_end[level - 1] : bucket_end[level]]
         if level in pushed:
             bucket = np.sort(np.concatenate([bucket, pushed.pop(level)]))
-        for v in bucket[~covered[bucket]].tolist():
+        bucket = bucket[~covered[bucket]]
+        if residuals is not None and bucket.size:
+            # nodes below the level wait in the bucket of their residual,
+            # those at 0 for the final step
+            values = residuals.of_nodes(bucket)
+            lower = values < level
+            for value, nodes in _grouped(values[lower], bucket[lower]):
+                if value:
+                    pushed.setdefault(value, []).extend(nodes.tolist())
+            bucket = bucket[~lower]
+        picked = False
+        for v in bucket.tolist():
             if is_covered[v]:
                 continue
-            if track_residual:
-                # a stored residual is exact or too high, so it only needs
-                # the pending updates when it could make v a pick
-                if (
-                    residual_of[v] == level
-                    and pending_nodes
-                    and any(map(is_marked.__getitem__, node_keys[indptr[v] : indptr[v + 1]]))
-                ):
-                    flush()
-                if residual_of[v] != level:
-                    if residual_of[v]:  # residual 0 waits for the final step
-                        pushed.setdefault(residual_of[v], []).append(v)
+            if picked and residuals is not None:
+                # a pick in this bucket may have lowered v's residual
+                value = residuals.of(v)
+                if value != level:
+                    if value:
+                        pushed.setdefault(value, []).append(v)
                     continue
+            picked = True
             selected.append(v)
             closed = graph.closed_neighborhood(v)
             newly = closed[~covered[closed]]
             covered[newly] = True
             uncovered -= newly.size
-            if track_residual:
-                touched = graph._keys_of(newly)
-                marked[touched] = True
-                pending_nodes.append(newly)
-                pending_keys.append(touched)
+            if residuals is not None:
+                residuals.cover(newly)
     # every node still uncovered has no uncovered neighbor left
     chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
 
@@ -145,6 +202,15 @@ def approx_dominating_set(
         covered=n,
         uncovered_entities=uncovered_entities,
     )
+
+
+def _grouped(values: np.ndarray, nodes: np.ndarray):
+    """(value, nodes with that value) pairs, by value."""
+    order = values.argsort()
+    values, nodes = values[order], nodes[order]
+    starts = np.flatnonzero(_run_starts(values)).tolist()
+    for a, b in zip(starts, starts[1:] + [values.size]):
+        yield int(values[a]), nodes[a:b]
 
 
 def is_dominating_set(graph: SentenceGraph, candidate) -> bool:

@@ -10,6 +10,7 @@ overlap-resolution step, so they emit mentions with identical invariants.
 from __future__ import annotations
 
 import bisect
+import functools
 import http.client
 import json
 import re
@@ -98,6 +99,12 @@ class RecognizerConfig:
             raise ValidationError("sidecar mode requires sidecar_path")
         if self.mode == MODE_SERVICE and not self.service_endpoint:
             raise ValidationError("service mode requires service_endpoint")
+
+    @functools.cached_property
+    def gazetteer(self) -> Gazetteer:
+        """The gazetteer_paths, loaded on first use and kept: every corpus
+        recognized with this config shares one load."""
+        return load_gazetteers(self.gazetteer_paths)
 
 
 class Gazetteer(Mapping):
@@ -480,8 +487,8 @@ def recognize(
     """Run the configured recognizer over all sentences."""
     config.validate()
     if config.mode == MODE_BUILTIN:
-        gazetteers = load_gazetteers(config.gazetteer_paths)
-        return {s.sentence_id: recognize_builtin(s, gazetteers) for s in sentences}
+        gazetteer = config.gazetteer
+        return {s.sentence_id: recognize_builtin(s, gazetteer) for s in sentences}
     if config.mode == MODE_SIDECAR:
         return load_sidecar(config.sidecar_path, sentences)
     return recognize_service(

@@ -430,9 +430,13 @@ def stage_retrieve(
     config: PipelineConfig,
     sentences: list[Sentence],
     mentions: dict[int, list[EntityMention]],
+    recognizer: RecognizerConfig,
 ) -> tuple[list[Sentence], dict[int, list[EntityMention]], dict[int, int]]:
     """Retrieve one support sentence per (sentence, mention); append as nodes.
 
+    The support corpus is recognized with `recognizer`, the one the input
+    corpus used, so the two share its gazetteer; it is dropped once both
+    corpora are recognized.
     Returns the extended sentence list, extended mentions, and a map from
     each retrieved sentence id to the query sentence id that fetched it
     first (context provenance).
@@ -440,12 +444,15 @@ def stage_retrieve(
     _, support_sentences = ingest_and_segment(
         config, config.support_paths, config.support_format
     )
-    recognizer = config.recognizer_config()
+    support_recognizer = recognizer
     if config.support_sidecar_path:
-        recognizer = replace(
+        support_recognizer = replace(
             recognizer, mode=entities_mod.MODE_SIDECAR, sidecar_path=config.support_sidecar_path
         )
-    support_mentions = entities_mod.recognize(support_sentences, recognizer)
+    support_mentions = entities_mod.recognize(support_sentences, support_recognizer)
+    # clear the cached gazetteer, so that it is not held while the index is
+    # built and ranked (the run's peak memory)
+    vars(recognizer).pop("gazetteer", None)
     index = retrieval_mod.build_index(support_sentences, support_mentions)
     constraints = retrieval_mod.RetrievalConstraints(
         require_answer_entity=config.require_answer_entity,
@@ -598,11 +605,24 @@ def _read_retrieved(state: PipelineState, path: str) -> dict[int, int] | None:
     # exact types: bool is an int subclass
     if not {int}.issuperset(map(type, [*query_of, *query_of.values()])):
         raise ValidationError("retrieved sentence ids must be ints")
+    # each pair names a retrieved sentence of sentences.jsonl (read before
+    # it) and the corpus sentence whose query fetched it
+    origin = {s.sentence_id: s.origin for s in state.sentences}
+    for retrieved, query in query_of.items():
+        if (origin.get(retrieved), origin.get(query)) != (
+            corpus_mod.ORIGIN_RETRIEVED,
+            corpus_mod.ORIGIN_CORPUS,
+        ):
+            raise ValidationError(
+                f"sentence {retrieved} fetched by {query} is not a retrieved sentence"
+                " fetched by a corpus sentence"
+            )
     return query_of
 
 
 def _read_selection(state: PipelineState, path: str) -> dict:
-    """selection.json, its ids checked against graph_stats.json's node count."""
+    """selection.json, its ids checked against graph_stats.json's node count
+    and for the ascending distinct order the greedy writes."""
     selection = read_json(path)
     nodes = _node_count(state)
     selected, size = selection["selected"], selection["size"]
@@ -610,6 +630,8 @@ def _read_selection(state: PipelineState, path: str) -> dict:
         type(v) is int and 0 <= v < nodes for v in selected
     ):
         raise ValidationError(f"'selected' must be a list of sentence ids in 0..{nodes - 1}")
+    if any(b <= a for a, b in zip(selected, selected[1:])):
+        raise ValidationError("'selected' must hold distinct ids in ascending order")
     if type(size) is not int or size != len(selected):
         raise ValidationError(f"'size' is {size!r} but 'selected' holds {len(selected)} ids")
     return selection
@@ -710,11 +732,13 @@ def _ingest_body(config: PipelineConfig, clock: StageClock, state: PipelineState
 def _graph_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
     # Rebuilding from the ingested sentences keeps this stage idempotent.
     sentences = [s for s in state.sentences if s.origin == corpus_mod.ORIGIN_CORPUS]
-    mentions = clock.run("recognize", entities_mod.recognize, sentences, config.recognizer_config())
+    # one recognizer config for both corpora: they share its gazetteer
+    recognizer = config.recognizer_config()
+    mentions = clock.run("recognize", entities_mod.recognize, sentences, recognizer)
     query_of = None
     if config.retrieval_enabled:
         sentences, mentions, query_of = clock.run(
-            "retrieve", stage_retrieve, config, sentences, mentions
+            "retrieve", stage_retrieve, config, sentences, mentions, recognizer
         )
     graph = clock.run("build_graph", stage_build_graph, config, sentences, mentions)
     state.sentences, state.mentions, state.query_of, state.graph = (

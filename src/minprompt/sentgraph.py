@@ -9,9 +9,10 @@ ids are ``node_keys[node_indptr[v]:node_indptr[v + 1]]``.
 
 The build interns the sorted keys once and fills both directions in bulk:
 one sort of the ``key * V + member`` codes, adjacent duplicates dropped,
-`bincount` for the row pointers.
+then one of the same pairs as ``member * K + key`` codes for the node
+rows, and `bincount` for the row pointers.
 
-The degree pass and the greedy's residual updates share one kernel,
+The degree pass and the greedy's long-row updates share one kernel,
 `SentenceGraph._add_neighbor_hits`: for distinct owner nodes it adds a
 step to every node once per owner whose closed neighborhood holds it. It
 never expands an owner's longest key (its hub) per owner: each hub's
@@ -28,24 +29,26 @@ Degrees are counted, not expanded. A node v whose key row K(v) has at
 most `_IE_ROW` keys (a short row) gets its degree by inclusion-exclusion
 over the short rows only: the sum over the nonempty subsets S of K(v) of
 (-1)**(|S| + 1) N(S), minus 1, where N(S) is the number of short rows
-that hold all of S. For a single key that is its member count minus its
-long-row members; the larger subsets are counted level by level, one
-sort per level. An s-subset's int64 code is the id of its first s - 1
-keys times K plus its last key, and a subset's id is the rank of its code
-among the level's distinct codes, so the codes stay below (distinct
-subsets of the level before) * K; the build refuses a graph whose codes
-would pass 2**63 - 1. The long rows are the kernel's owners with step 1:
-each adds itself to every node of its closed neighborhood, which counts
-it into its short-row neighbors' degrees, and its own degree is its
+that hold all of S. The pass keeps the terms as a node-major table for
+the greedy's residuals: short row v's subsets have the ids
+``subset_ids[subset_indptr[v] + j]``, the subset whose bit mask over v's
+keys is j + 1 at position j, and ``subset_counts`` holds each id's N. A
+single key's id is its key id and its N its member count minus its
+long-row members; the larger subsets are numbered level by level after
+the ids of the level before, one sort per level. An s-subset's code is
+the rank of its first s - 1 keys among the level before times K plus its
+last key, so the codes stay below (distinct subsets of the level before)
+* K; the build refuses a graph whose codes would pass 2**63 - 1. The long
+rows are the kernel's owners with step 1: each adds itself to
+``long_hits`` of every node of its closed neighborhood, which counts it
+into its short-row neighbors' degrees, and its own degree is its
 closed-neighborhood size minus 1. Memory is O(V + total posting length)
 times the subsets of a short row per key.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -70,14 +73,21 @@ _SCOPE_SEP = "\x00"
 _CHUNK_CODES = 1 << 15
 
 # A sentence mentions few entities: node rows up to this many keys are
-# checked by direct comparison, four times faster than a binary search in
-# the node-key pairs on the select_hubs workload; longer rows are searched.
+# checked by direct comparison; longer rows are bisected.
 _SCAN_ROW = 4
 
 # Node rows up to this many keys get their degrees by inclusion-exclusion
 # over the 2**_IE_ROW - 1 subsets of their keys; longer rows use the kernel.
 _IE_ROW = 5
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+# A short row of r keys has 2**r - 1 subsets in the subset table
+_SUBSET_WIDTHS = np.array([(1 << r) - 1 for r in range(_IE_ROW + 1)] + [0], dtype=np.int64)
+# the inclusion-exclusion sign (-1)**(|S| + 1) of the subset S at position
+# j of a row's subsets, whose bit mask over the row's keys is j + 1
+_SUBSET_SIGNS = np.array(
+    [1 if (j + 1).bit_count() % 2 else -1 for j in range(2**_IE_ROW - 1)], dtype=np.int64
+)
 
 
 @dataclass(frozen=True)
@@ -89,28 +99,27 @@ class GraphStats:
     isolated_nodes: int
 
 
+def _add_counts(counts: np.ndarray, i: np.ndarray) -> None:
+    """Add to counts[x] the copies of x in the sorted index array i."""
+    if i.size:
+        found = np.bincount(i - i[0])
+        counts[i[0] : i[0] + found.size] += found
+
+
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenated ranges start .. start + length - 1, in order."""
-    ends = np.cumsum(lengths)
+    # array methods, not the np.* wrappers: the greedy calls this per pick
+    ends = lengths.cumsum()
     total = int(ends[-1]) if ends.size else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
+    return np.arange(total, dtype=np.int64) + (starts - ends + lengths).repeat(lengths)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the positions where a run of equal values begins."""
-    starts = np.ones(values.size, dtype=bool)
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
     np.not_equal(values[1:], values[:-1], out=starts[1:])
     return starts
-
-
-@functools.cache
-def _subset_layout(row: int, size: int) -> tuple[list[int], list[int]]:
-    """For each `size`-subset of row positions, in combinations order: the
-    index of its first size - 1 positions among the (size - 1)-subsets, and
-    its last position."""
-    smaller = {c: i for i, c in enumerate(itertools.combinations(range(row), size - 1))}
-    subsets = list(itertools.combinations(range(row), size))
-    return [smaller[c[:-1]] for c in subsets], [c[-1] for c in subsets]
 
 
 def _intern(node_count: int, postings: dict[str, list[int] | np.ndarray]):
@@ -140,8 +149,13 @@ def _intern(node_count: int, postings: dict[str, list[int] | np.ndarray]):
     np.cumsum(np.bincount(key_ids, minlength=len(keys)), out=key_indptr[1:])
     node_indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(members, minlength=node_count), out=node_indptr[1:])
-    # stable: each node's keys keep their ascending key-major order
-    node_keys = key_ids[np.argsort(members, kind="stable")]
+    # the same pairs node-major: member * K + key, distinct and below V * K
+    width = max(len(keys), 1)
+    node_keys = members * width
+    node_keys += key_ids
+    del key_ids
+    node_keys.sort()
+    np.remainder(node_keys, width, out=node_keys)
     return keys, key_indptr, members, node_indptr, node_keys
 
 
@@ -171,7 +185,11 @@ class SentenceGraph:
 
     keys holds the sorted key names; key k has id k. postings maps each
     key to its sorted, duplicate-free member ids; cached_degrees[v] counts
-    distinct neighbors of v.
+    distinct neighbors of v. The degree pass also leaves what the greedy's
+    residuals start from (see the module docstring): long_rows, the nodes
+    of more than _IE_ROW keys; long_hits[v], the long rows in v's closed
+    neighborhood; and the short rows' subset table, subset_indptr,
+    subset_ids and subset_counts.
     """
 
     def __init__(
@@ -192,12 +210,9 @@ class SentenceGraph:
         for array in (key_indptr, key_members, node_indptr, node_keys):
             array.flags.writeable = False
         self.postings = Postings(keys, key_indptr, key_members)
-        # (node, key) pairs as node * K + key, ascending: the membership index
-        self._pair_codes = (
-            np.repeat(np.arange(node_count, dtype=np.int64), np.diff(node_indptr)) * len(keys)
-            + node_keys
-        )
         self.cached_degrees = self._degrees()
+        for array in (self.long_hits, self.subset_indptr, self.subset_ids, self.subset_counts):
+            array.flags.writeable = False
 
     @classmethod
     def from_postings(cls, node_count: int, postings: dict[str, list[int] | np.ndarray]):
@@ -215,48 +230,53 @@ class SentenceGraph:
         lengths = self.key_indptr[keys + 1] - starts
         return self.key_members[_ranges(starts, lengths)], lengths
 
-    def _add_neighbor_hits(
-        self, owners: np.ndarray, out: np.ndarray, step: int, live: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The kernel: add `step` to out[w] once for each of the distinct
-        `owners` whose closed neighborhood holds w, and return the size of
-        each owner's closed neighborhood (see the module docstring).
-
-        Only keys where the boolean key mask `live` is set count, all keys
-        without it; an owner with no such key has an empty neighborhood.
-        """
+    def _split_hubs(self, owners: np.ndarray):
+        """Each owner's hub, its longest key (the larger id on ties, -1 for
+        an owner with no key), and the owner index, key and key length of
+        each of the owners' other keys, owner by owner."""
         key_count = len(self.keys)
         keys = self._keys_of(owners)
         owner = np.repeat(
             np.arange(owners.size, dtype=np.int64),
             self.node_indptr[owners + 1] - self.node_indptr[owners],
         )
-        if live is not None:
-            keep = live[keys]
-            keys, owner = keys[keep], owner[keep]
-        sizes = np.zeros(owners.size, dtype=np.int64)
-        if not keys.size:
-            return sizes
         lengths = self.key_indptr[keys + 1] - self.key_indptr[keys]
-        first = np.flatnonzero(_run_starts(owner))
-        have = owner[first]  # the owners with a counted key
         hub = np.full(owners.size, -1, dtype=np.int64)
-        # the longest key, the larger id on ties; any key would be correct
-        sizes[have], hub[have] = np.divmod(
-            np.maximum.reduceat(lengths * key_count + keys, first), key_count
-        )
+        if keys.size:
+            # any key would be correct; the longest is expanded least
+            first = np.flatnonzero(_run_starts(owner))
+            hub[owner[first]] = np.maximum.reduceat(lengths * key_count + keys, first) % key_count
+        rest = keys != hub[owner]
+        return hub, owner[rest], keys[rest], lengths[rest]
+
+    def _add_neighbor_hits(self, owners: np.ndarray, out: np.ndarray, step: int) -> np.ndarray:
+        """The kernel: add `step` to out[w] once for each of the distinct
+        `owners` whose closed neighborhood holds w, and return the size of
+        each owner's closed neighborhood (see the module docstring). An
+        owner with no key has an empty neighborhood."""
+        hub, owner, keys, lengths = self._split_hubs(owners)
+        have = np.flatnonzero(hub >= 0)
+        sizes = np.zeros(owners.size, dtype=np.int64)
+        sizes[have] = self.key_indptr[hub[have] + 1] - self.key_indptr[hub[have]]
         hubs = np.sort(hub[have])
         starts = np.flatnonzero(_run_starts(hubs))
         members, hub_lengths = self._members_of(hubs[starts])
         shared = np.diff(np.append(starts, hubs.size))
         np.add.at(out, members, np.repeat(shared * step, hub_lengths))
-        rest = keys != hub[owner]
-        for i, w in self._chunks(owner[rest], keys[rest], lengths[rest], hub):
-            if i.size:
-                counts = np.bincount(i - i[0])
-                sizes[i[0] : i[0] + counts.size] += counts
-                np.add.at(out, w, step)
+        for i, w in self._chunks(owner, keys, lengths, hub):
+            _add_counts(sizes, i)
+            np.add.at(out, w, step)
         return sizes
+
+    def _count_outside_hubs(self, owners: np.ndarray, skip: np.ndarray):
+        """Each owner's hub (see `_split_hubs`) and the number of distinct
+        members of its other keys that are neither in the hub nor set in
+        the boolean node mask `skip`."""
+        hub, owner, keys, lengths = self._split_hubs(owners)
+        counts = np.zeros(owners.size, dtype=np.int64)
+        for i, w in self._chunks(owner, keys, lengths, hub):
+            _add_counts(counts, i[~skip[w]])
+        return hub, counts
 
     def _chunks(self, owner: np.ndarray, keys: np.ndarray, lengths: np.ndarray, hub: np.ndarray):
         """(i, w) array pairs, sorted by i then w: each distinct member w of
@@ -287,93 +307,140 @@ class SentenceGraph:
             found |= self.node_keys[np.minimum(first + j, last)] == keys
         long = np.flatnonzero(last - first >= _SCAN_ROW)
         if long.size:
-            pairs = nodes[long] * len(self.keys) + keys[long]
-            pos = np.searchsorted(self._pair_codes, pairs)
-            found[long] = self._pair_codes[np.minimum(pos, self._pair_codes.size - 1)] == pairs
+            # bisect each longer row for the first of its keys >= the key
+            lo, hi, want = first[long], last[long], keys[long]
+            while (active := lo < hi).any():
+                mid = (lo + hi) >> 1
+                right = active & (self.node_keys[mid] < want)
+                lo = np.where(right, mid + 1, lo)
+                hi = np.where(active & ~right, mid, hi)
+            found[long] = self.node_keys[lo] == want
         return found
 
     def _degrees(self) -> np.ndarray:
-        """Each node's count of distinct neighbors (see the module docstring)."""
-        lengths = np.diff(self.node_indptr)
-        by_length = [np.flatnonzero(lengths == r) for r in range(1, _IE_ROW + 1)]
-        long_rows = np.flatnonzero(lengths > _IE_ROW)
-        del lengths
+        """The degree pass: each node's count of distinct neighbors (see the
+        module docstring). It also sets the tables the greedy's residuals
+        start from: `long_rows`, `long_hits` and the subset table."""
+        self.long_rows = np.flatnonzero(np.diff(self.node_indptr) > _IE_ROW)
         degrees = np.zeros(self.node_count, dtype=np.int64)
+        self._subset_table(degrees)
         # each long row adds 1 to every node of its closed neighborhood;
         # blocks of owners keep the kernel's per-(owner, key) arrays small
-        sizes = np.empty(long_rows.size, dtype=np.int64)
-        for lo in range(0, long_rows.size, _CHUNK_CODES):
-            owners = long_rows[lo : lo + _CHUNK_CODES]
-            sizes[lo : lo + owners.size] = self._add_neighbor_hits(owners, degrees, 1)
-        degrees[long_rows] = sizes - 1
-        # level 1 of inclusion-exclusion: N({k}) is k's short-row members
-        single = np.diff(self.key_indptr)
-        single -= np.bincount(self._keys_of(long_rows), minlength=single.size)
-        for r, rows in enumerate(by_length, 1):
-            keys = self.node_keys[self.node_indptr[rows, None] + np.arange(r)]
-            degrees[rows] += single[keys].sum(axis=1) - 1
-        self._add_subset_counts(degrees, by_length)
+        self.long_hits = np.zeros(self.node_count, dtype=np.int64)
+        sizes = np.empty(self.long_rows.size, dtype=np.int64)
+        for lo in range(0, self.long_rows.size, _CHUNK_CODES):
+            owners = self.long_rows[lo : lo + _CHUNK_CODES]
+            sizes[lo : lo + owners.size] = self._add_neighbor_hits(owners, self.long_hits, 1)
+        degrees += self.long_hits
+        degrees[self.long_rows] = sizes - 1
         return degrees
 
-    def _add_subset_counts(self, degrees: np.ndarray, by_length: list[np.ndarray]) -> None:
-        """Levels 2.._IE_ROW of inclusion-exclusion: add (-1)**(s + 1) N(S)
-        to degrees[v] for each s-subset S of v's keys, where N(S) counts
-        the short rows (by_length[r - 1]: the rows of r keys) holding S."""
+    def _subset_table(self, degrees: np.ndarray) -> None:
+        """Set the short rows' subset table and add each short row's
+        inclusion-exclusion sum, minus 1, to its entry of `degrees`.
+
+        The nonempty key subsets of short row v have the ids
+        subset_ids[subset_indptr[v] + j], where j + 1 is the subset's bit
+        mask over v's keys, and the subset with id i is held by
+        subset_counts[i] short rows (its N). A key's id is its key id;
+        each level s > 1 numbers its distinct s-subsets after the ids of
+        level s - 1, in the order of their codes."""
         key_count = len(self.keys)
-        # (row length, rows, each row's subset ids of the previous level)
-        groups = [(r, rows, None) for r, rows in enumerate(by_length, 1) if rows.size]
-        bound = key_count  # the ids of the level before are below it
+        lengths = np.diff(self.node_indptr)
+        widths = _SUBSET_WIDTHS[np.minimum(lengths, _IE_ROW + 1)]
+        total = int(widths.sum())
+        # ids, counts and offsets all stay below K + the table's length
+        dtype = np.int32 if key_count + total <= _INT32_MAX else np.int64
+        indptr = np.zeros(self.node_count + 1, dtype=dtype)
+        np.cumsum(widths, out=indptr[1:])
+        del widths
+        ids = np.empty(total, dtype=dtype)
+        by_length = [(r, np.flatnonzero(lengths == r)) for r in range(1, _IE_ROW + 1)]
+        by_length = [(r, rows) for r, rows in by_length if rows.size]
+        del lengths
+        # N({k}) is k's members minus the long rows that hold k
+        single = np.diff(self.key_indptr)
+        single -= np.bincount(self._keys_of(self.long_rows), minlength=key_count)
+        for r, rows in by_length:
+            degrees[rows] -= 1
+            for i in range(r):
+                keys = self.node_keys[self.node_indptr[rows] + i]
+                ids[indptr[rows] + (1 << i) - 1] = keys
+                degrees[rows] += single[keys]
+        counts = [single.astype(dtype)]
+        first, bound = 0, key_count  # the ids of the level before
         for s in range(2, _IE_ROW + 1):
-            groups = [group for group in groups if group[0] >= s]
-            if not groups:
-                return
+            layout = [
+                (rows, mask)
+                for r, rows in by_length
+                for mask in range(1, 1 << r)
+                if mask.bit_count() == s
+            ]
+            if not layout:
+                break
             if bound * key_count - 1 > _INT64_MAX:
                 raise ValidationError(
                     f"{bound} key subsets x {key_count} keys overflow int64 subset codes"
                 )
-            sizes = [rows.size * math.comb(r, s) for r, rows, _ in groups]
-            codes = np.empty(sum(sizes), dtype=np.int64)
+            code_type = np.int32 if bound * key_count <= _INT32_MAX else np.int64
+            codes = np.empty(sum(rows.size for rows, _ in layout), dtype=code_type)
             end = 0
-            for r, rows, ids in groups:
-                step = max(1, _CHUNK_CODES // math.comb(r, s))  # rows per block
-                for lo in range(0, rows.size, step):
-                    block = self._subset_codes(
-                        r, rows[lo : lo + step], None if ids is None else ids[lo : lo + step], s
-                    ).ravel()
-                    codes[end : end + block.size] = block
-                    end += block.size
-            # one sort: equal codes are one subset S, so S's id is the rank
+            for rows, mask in layout:
+                # the rank of the subset's first s - 1 keys in the level
+                # before * K + its last key
+                last = mask.bit_length() - 1
+                block = codes[end : end + rows.size]
+                block[:] = ids[indptr[rows] + (mask ^ (1 << last)) - 1] - first
+                block *= key_count
+                block += self.node_keys[self.node_indptr[rows] + last]
+                end += rows.size
+            # one sort: equal codes are one subset S, so its id is the rank
             # of its code among the distinct ones and N(S) its copies
             order = codes.argsort()
-            codes = codes[order]
-            codes[:] = _run_starts(codes)
-            np.cumsum(codes, out=codes)
-            ids = np.empty_like(codes)
-            ids[order] = codes
-            # three code-sized arrays at once set the pass's peak memory
+            codes.sort()
+            starts = _run_starts(codes)
+            np.cumsum(starts, out=codes)
+            ranks = np.empty(codes.size, dtype=dtype)
+            ranks[order] = codes
+            # these arrays at once set the pass's peak memory
             del order, codes
-            copies = np.bincount(ids)
+            copies = np.flatnonzero(starts)
+            del starts
+            counts.append(np.diff(copies, append=end).astype(dtype))
+            distinct = copies.size
+            del copies
+            ranks -= 1
             sign = 1 if s % 2 else -1
             end = 0
-            for j, ((r, rows, _), size) in enumerate(zip(groups, sizes)):
-                row_ids = ids[end : end + size].reshape(rows.size, -1)
-                end += size
-                degrees[rows] += sign * copies[row_ids].sum(axis=1)
-                groups[j] = (r, rows, row_ids)
-            bound = copies.size
-            del copies
+            for rows, mask in layout:
+                level_ids = ranks[end : end + rows.size]
+                degrees[rows] += sign * counts[-1][level_ids]
+                ids[indptr[rows] + mask - 1] = level_ids + (first + bound)
+                end += rows.size
+            first, bound = first + bound, distinct
+            del ranks
+        self.subset_indptr, self.subset_ids = indptr, ids
+        self.subset_counts = np.concatenate(counts)
 
-    def _subset_codes(self, r: int, rows: np.ndarray, ids: np.ndarray | None, size: int):
-        """Codes of every `size`-subset of the `r`-key rows `rows`, a row
-        per line: the id of the subset's first size - 1 keys (`ids`, the
-        previous level's; None for the key ids) * K + its last key."""
-        prefix, last = _subset_layout(r, size)
-        starts = self.node_indptr[rows, None]
-        # the 1-subsets are the row positions, so a key's id is its key id
-        codes = self.node_keys[starts + prefix] if ids is None else ids[:, prefix]
-        codes *= len(self.keys)
-        codes += self.node_keys[starts + last]
-        return codes
+    def _subset_sums(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """For each short row v of `rows`: the sum over the nonempty subsets
+        S of v's keys of (-1)**(|S| + 1) counts[id of S]. Whole rows are
+        summed in blocks of about `_CHUNK_CODES` terms."""
+        starts = self.subset_indptr[rows]
+        widths = self.subset_indptr[rows + 1] - starts
+        ends = np.cumsum(widths)
+        sums = np.empty(rows.size, dtype=np.int64)
+        lo = 0
+        while lo < rows.size:
+            base = int(ends[lo] - widths[lo])
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_CODES, side="right")))
+            width = widths[lo:hi]
+            first = ends[lo:hi] - width - base  # each row's first term
+            j = np.arange(int(ends[hi - 1]) - base) - np.repeat(first, width)  # position in the row
+            terms = counts[self.subset_ids[j + np.repeat(starts[lo:hi], width)]] * _SUBSET_SIGNS[j]
+            sums[lo:hi] = np.add.reduceat(terms, first)
+            lo = hi
+        return sums
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """Sorted ids of v plus every neighbor of v."""

@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import oracles
-from minprompt import sentgraph
+from minprompt import domset, sentgraph
 from minprompt.domset import approx_dominating_set, is_dominating_set
 from minprompt.errors import ValidationError
 from minprompt.sentgraph import SentenceGraph
@@ -67,6 +67,8 @@ def test_graph_matches_dict_oracle(case):
         }
         for v in range(n):
             assert graph.closed_neighborhood(v).tolist() == oracle.closed_neighborhood(v).tolist()
+            row = graph.node_keys[graph.node_indptr[v] : graph.node_indptr[v + 1]]
+            assert tuple(graph.keys[k] for k in row.tolist()) == oracle.node_keys[v]
         for mode in ("residual", "static"):
             ours = approx_dominating_set(graph, degree_mode=mode)
             reference = oracles.heap_dominating_set(oracle, degree_mode=mode)
@@ -90,31 +92,18 @@ def test_is_dominating_set_matches_matrix_oracle(case, data):
 @settings(max_examples=300, deadline=None)
 @given(raw_postings(), st.data())
 def test_neighbor_hits_match_brute_force(case, data):
-    # the kernel behind both the long-row degrees and the greedy's flushes:
-    # distinct owners in any order, a random live key mask or none, step +-1
+    # the kernel behind the long-row degrees and the greedy's long-row
+    # updates: distinct owners in any order, step +-1
     n, postings, chunk = case
     with mock.patch.object(sentgraph, "_CHUNK_CODES", chunk):
         graph = SentenceGraph.from_postings(n, postings)
         owners = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
         owners = data.draw(st.permutations(sorted(owners)))
-        key_count = len(graph.keys)
-        live = data.draw(
-            st.none() | st.lists(st.booleans(), min_size=key_count, max_size=key_count)
-        )
         step = data.draw(st.sampled_from([1, -1]))
         start = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         out = np.array(start, dtype=np.int64)
-        sizes = graph._add_neighbor_hits(
-            np.array(owners, dtype=np.int64),
-            out,
-            step,
-            None if live is None else np.array(live, dtype=bool),
-        )
-    counted = [
-        set(map(int, postings[key]))
-        for k, key in enumerate(graph.keys)
-        if live is None or live[k]
-    ]
+        sizes = graph._add_neighbor_hits(np.array(owners, dtype=np.int64), out, step)
+    counted = [set(map(int, members)) for members in postings.values()]
     expected = list(start)
     expected_sizes = []
     for v in owners:
@@ -124,6 +113,90 @@ def test_neighbor_hits_match_brute_force(case, data):
             expected[w] += step
     assert sizes.tolist() == expected_sizes
     assert out.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_postings())
+def test_initial_residuals_equal_the_degrees(case):
+    # the greedy's bulk gather and its one-by-one re-read, before any pick
+    n, postings, chunk = case
+    with mock.patch.object(sentgraph, "_CHUNK_CODES", chunk):
+        graph = SentenceGraph.from_postings(n, postings)
+        residuals = domset._Residuals(graph, np.zeros(n, dtype=bool))
+        keyed = np.flatnonzero(np.diff(graph.node_indptr))
+        expected = graph.cached_degrees[keyed].tolist()
+        assert residuals.of_nodes(keyed).tolist() == expected
+        assert [residuals.of(v) for v in keyed.tolist()] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_postings(), st.data())
+def test_residuals_stay_exact_as_nodes_are_covered(case, data):
+    # cover the closed neighborhoods of a few picks, as the greedy does;
+    # every uncovered node's residual is then its uncovered neighbors
+    n, postings, chunk = case
+    with mock.patch.object(sentgraph, "_CHUNK_CODES", chunk):
+        graph = SentenceGraph.from_postings(n, postings)
+        covered = np.zeros(n, dtype=bool)
+        residuals = domset._Residuals(graph, covered)
+        keyed = np.flatnonzero(np.diff(graph.node_indptr)).tolist()
+        picks = data.draw(st.lists(st.sampled_from(keyed), max_size=4)) if keyed else []
+        for v in picks:
+            closed = graph.closed_neighborhood(v)
+            newly = closed[~covered[closed]]
+            covered[newly] = True
+            residuals.cover(newly)
+        left = np.array([v for v in keyed if not covered[v]], dtype=np.int64)
+        oracle = oracles.DictGraph(n, postings)
+        expected = [int((~covered[oracle.closed_neighborhood(v)]).sum()) - 1 for v in left.tolist()]
+        assert residuals.of_nodes(left).tolist() == expected
+        assert [residuals.of(v) for v in left.tolist()] == expected
+
+
+@st.composite
+def mixed_rows(draw):
+    """(node count, raw postings): a few long rows over a pool of small
+    keys, short rows joining the pool, and hub keys of short rows only,
+    whose picks cover some of the long rows' neighbors before the greedy
+    reaches the long rows."""
+    cap = sentgraph._IE_ROW
+    n = draw(st.integers(cap + 10, 50))
+    ids = st.integers(0, n - 1)
+    # the largest ids, so ties in a bucket are picked before them
+    long_rows = draw(st.lists(st.integers(n // 2, n - 1), min_size=1, max_size=4, unique=True))
+    pool = [[] for _ in range(draw(st.integers(cap + 2, cap + 6)))]
+    for node in long_rows:
+        keys = st.integers(0, len(pool) - 1)
+        for k in draw(st.sets(keys, min_size=cap + 1, max_size=len(pool))):
+            pool[k].append(node)
+    for members in pool:
+        members += draw(st.lists(ids, max_size=3))
+    postings = {f"p{k}": members for k, members in enumerate(pool)}
+    short = ids.filter(lambda v: v not in long_rows)
+    for h in range(draw(st.integers(1, 4))):
+        postings[f"hub{h}"] = draw(st.lists(short, min_size=2, max_size=20))
+    return n, postings
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_rows())
+def test_mixed_rows_match_heap_oracle(case):
+    n, postings = case
+    graph = SentenceGraph.from_postings(n, postings)
+    stale = []
+    original = domset._Residuals._long
+
+    def counted(self, rows):
+        values = original(self, rows)
+        stale.append(int((values < graph.cached_degrees[rows]).sum()))
+        return values
+
+    with mock.patch.object(domset._Residuals, "_long", counted):
+        result = approx_dominating_set(graph)
+    # steer the search toward long rows read after their residual fell
+    target(float(sum(stale)), label="long-row reads below the degree")
+    oracle = oracles.DictGraph(n, postings)
+    assert result.selected == oracles.heap_dominating_set(oracle)["selected"]
 
 
 def assert_degrees_match(n, postings):
@@ -189,31 +262,32 @@ class TestInclusionExclusionDegrees:
 
 
 class TestBatchedGreedy:
-    """The greedy applies the residual updates of several picks in one
-    kernel pass (a flush), and must still select what the eager heap
-    greedy of oracles.py selects."""
+    """The greedy reads the residuals of a whole bucket in one gather and
+    re-reads one by one only the candidates it examines after a pick in
+    their bucket; it must still select what the eager heap greedy of
+    oracles.py selects."""
 
     @staticmethod
-    def solve_counting_flushes(n, postings):
+    def solve_counting_rereads(n, postings):
         graph = SentenceGraph.from_postings(n, postings)
-        calls = []
-        original = SentenceGraph._add_neighbor_hits
+        rereads = []
+        original = domset._Residuals.of
 
-        def counted(self, owners, *rest):
-            calls.append(owners.size)
-            return original(self, owners, *rest)
+        def counted(self, v):
+            rereads.append(v)
+            return original(self, v)
 
-        with mock.patch.object(SentenceGraph, "_add_neighbor_hits", counted):
+        with mock.patch.object(domset._Residuals, "of", counted):
             result = approx_dominating_set(graph)
         expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings))
         assert result.selected == expected["selected"]
-        return result, calls
+        return result, rereads
 
-    def test_later_candidate_next_to_a_newly_covered_node_forces_a_flush(self):
+    def test_candidate_after_a_pick_in_its_bucket_is_reread(self):
         # 0 and 2 share the top bucket (degree 5); picking 0 covers 3,
         # which shares key B with 2, so 2's residual is really 4. Node 1
-        # (degree 4, smaller id) then comes before 2 and covers it; a
-        # stale residual would have picked 2 at level 5 instead.
+        # (degree 4, smaller id) then comes before 2 and covers it; the
+        # gathered residual would have picked 2 at level 5 instead.
         postings = {
             "A": [0, 3, 10, 11],
             "E": [0, 14, 15],
@@ -222,25 +296,41 @@ class TestBatchedGreedy:
             "D": [2, 22],
             "F": [1, 23],
         }
-        result, calls = self.solve_counting_flushes(24, postings)
+        result, rereads = self.solve_counting_rereads(24, postings)
         assert result.selected[:2] == (0, 1)
-        # the 6 nodes 0 covered, flushed for node 2; the 5 nodes 1 covered,
-        # flushed for node 22 (degree 1, its only neighbor 2 now covered)
-        assert calls == [6, 5]
+        # only 2 comes after a pick in its bucket: 1 leads the bucket of
+        # 4, 2 is covered by then, and 22's gathered residual is 0
+        assert rereads == [2]
 
-    def test_disjoint_picks_share_one_flush(self):
+    def test_disjoint_picks_are_reread_and_picked(self):
         # three disjoint 5-cliques; member 5i of clique i also neighbors
-        # 15 + i, so 0, 5 and 10 are the degree-5 picks. Node 18 neighbors
-        # every 15 + i: its row is the first to hold a marked key, and one
-        # flush applies the three picks together.
+        # 15 + i, so 0, 5 and 10 are the degree-5 picks. After 0, nodes 5
+        # and 10 are re-read, still at 5, and picked; 18's neighbors are
+        # all covered, so it waits for the final step.
         postings = {}
         for i in range(3):
             postings[f"S{i}"] = list(range(5 * i, 5 * i + 5))
             postings[f"T{i}"] = [5 * i, 15 + i]
             postings[f"U{i}"] = [15 + i, 18]
-        result, calls = self.solve_counting_flushes(19, postings)
+        result, rereads = self.solve_counting_rereads(19, postings)
         assert result.selected == (0, 5, 10, 18)
-        assert calls == [18]
+        assert rereads == [5, 10]
+
+    def test_long_row_is_repushed_and_reread(self):
+        # node 1 holds 6 keys (a long row): "h" with 2, and one key with
+        # each of 3-7; degree 6. Node 8 (degree 8) covers 3 first, so at
+        # level 6 the gather finds 1 at 5 and re-pushes it. At level 5,
+        # node 0 (degree 5, smaller id) is picked and covers 4, so 1 is
+        # re-read at 4, re-pushed again, and picked there.
+        postings = {"h": [1, 2], "q": [0, 4], "r": [0, 16, 17, 18, 19]}
+        postings.update({f"z{j}": [1, j] for j in range(3, 8)})
+        postings.update({"p": [3, 8], "big": list(range(8, 16))})
+        graph = SentenceGraph.from_postings(20, postings)
+        assert np.diff(graph.node_indptr)[1] > sentgraph._IE_ROW
+        assert graph.cached_degrees[[0, 1, 8]].tolist() == [5, 6, 8]
+        result, rereads = self.solve_counting_rereads(20, postings)
+        assert result.selected == (0, 1, 8)
+        assert rereads == [1]
 
     def test_hub_graph_matches_heap_oracle(self):
         # 20k nodes, three hubs of 3%, 1-6 Zipf-distributed keys per node:
@@ -324,6 +414,50 @@ class TestBounds:
         assert best[1] < 20.0
         for peak, length in zip(peaks, postings):
             assert peak < 100 * length, f"{peak / length:.0f} bytes per posting"
+
+    def test_long_rows_reread_inside_a_large_key_stay_linear(self):
+        # m long rows share the key "H" (each also holds 5 keys of its
+        # own, so H is its longest key); all start at degree m. Outsider
+        # i < k has degree m - i and the smaller id, and covers one H
+        # member: at each of the top k levels every other H member is
+        # re-read after the outsider's pick, about k * m long-row reads,
+        # each of which takes H's uncovered members from a count.
+        k = 2
+
+        def staircase(m):
+            postings = {"H": list(range(k, k + m))}
+            fresh = iter(range(k + m, k + m + k * m + m))
+            for j in range(m):
+                postings.update({f"own{j}.{t}": [k + j] for t in range(5)})
+                # H member j neighbors outsider j or a fresh node
+                postings[f"link{j}"] = [j if j < k else next(fresh), k + j]
+            for i in range(k):
+                postings[f"big{i}"] = [i] + [next(fresh) for _ in range(m - i - 1)]
+            return k + m + k * m + m, postings
+
+        graphs = [SentenceGraph.from_postings(*staircase(m)) for m in (2000, 4000)]
+        best, rereads = [float("inf")] * 2, []
+        original = domset._Residuals.of
+
+        def counted(self, v):
+            rereads.append(v)
+            return original(self, v)
+
+        for _ in range(3):
+            for i, graph in enumerate(graphs):
+                begin = time.perf_counter()
+                with mock.patch.object(domset._Residuals, "of", counted):
+                    result = approx_dominating_set(graph)
+                best[i] = min(best[i], time.perf_counter() - begin)
+        for graph, m in zip(graphs, (2000, 4000)):
+            assert np.diff(graph.node_indptr)[k : k + m].min() > sentgraph._IE_ROW
+        m = 4000
+        assert result.selected[: k + 1] == (0, 1, 2 * k)
+        assert is_dominating_set(graphs[1], result.selected)
+        assert len(rereads) >= 3 * k * (2000 + m - 2 * k)
+        # linear: 2x the members take well under the 4x of a quadratic read
+        assert best[1] / best[0] < 3, f"times={best}"
+        assert best[1] < 20.0
 
     def test_isolated_tail_is_selected_in_one_step(self):
         # 50k nodes, 90% isolated: the greedy selects the 45k isolated

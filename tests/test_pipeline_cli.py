@@ -427,6 +427,16 @@ class TestRunPipeline:
         assert set(runs[0]) == set(ARTIFACT_FILES)
         assert runs[0] == runs[1]
 
+    def test_retrieval_run_loads_the_gazetteer_once(self, tmp_path):
+        # the input and the support corpus share one loaded gazetteer
+        config = load_config(write_fixture_config(tmp_path, **RETRIEVAL))
+        with mock.patch.object(
+            entities_mod, "load_gazetteers", side_effect=entities_mod.load_gazetteers
+        ) as load:
+            run_pipeline(config)
+        assert load.call_count == 1
+        assert load.call_args.args == ((GAZETTEER,),)
+
     @pytest.mark.parametrize("top_k", [1, 3, 50])
     def test_stage_retrieve_matches_per_mention_ranking(self, tmp_path, top_k):
         config = load_config(
@@ -435,11 +445,12 @@ class TestRunPipeline:
         _, sentences = pipeline_mod.ingest_and_segment(
             config, config.input_paths, config.input_format
         )
-        mentions = entities_mod.recognize(sentences, config.recognizer_config())
+        recognizer = config.recognizer_config()
+        mentions = entities_mod.recognize(sentences, recognizer)
         with mock.patch.object(
             retrieval_mod, "rank", side_effect=retrieval_mod.rank
         ) as rank_spy:
-            got = pipeline_mod.stage_retrieve(config, sentences, mentions)
+            got = pipeline_mod.stage_retrieve(config, sentences, mentions, recognizer)
         assert rank_spy.call_count == sum(1 for s in sentences if mentions[s.sentence_id])
 
         original = retrieval_mod.retrieve_support_sentence
@@ -457,7 +468,7 @@ class TestRunPipeline:
                 return original(index, *args, **kwargs)
 
         with mock.patch.object(retrieval_mod, "retrieve_support_sentence", per_mention):
-            expected = pipeline_mod.stage_retrieve(config, sentences, mentions)
+            expected = pipeline_mod.stage_retrieve(config, sentences, mentions, recognizer)
         assert got == expected
         if top_k > 1:  # the top candidate never qualifies on the fixture
             assert got[2], "the fixture should retrieve support sentences"
@@ -643,6 +654,54 @@ class TestCli:
         path = tmp_path / "out" / "retrieved.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[0] = json.dumps({**json.loads(lines[0]), field: True})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--config", staged_cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "minprompt: error: retrieved.jsonl: malformed artifact"
+        )
+
+    @pytest.mark.parametrize("order", ["repeated", "descending"])
+    def test_generate_rejects_selected_ids_out_of_order(self, tmp_path, capsys, order):
+        # the greedy writes ascending distinct ids; with one id repeated
+        # `generate` used to exit 0 with no samples
+        staged_cfg = write_fixture_config(tmp_path)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        path = tmp_path / "out" / "selection.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        selected = payload["selected"]
+        assert len(selected) > 1
+        selected = [selected[0]] * len(selected) if order == "repeated" else selected[::-1]
+        path.write_text(json.dumps({**payload, "selected": selected}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--config", staged_cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "minprompt: error: selection.json: malformed artifact"
+        )
+        assert not (tmp_path / "out" / "samples.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("query_sentence_id", 9999), ("sentence_id", 9999), ("query_sentence_id", "retrieved"),
+         ("sentence_id", "query")],
+        ids=["query_unknown", "retrieved_unknown", "query_is_retrieved", "retrieved_is_corpus"],
+    )
+    def test_generate_rejects_a_retrieved_id_naming_no_such_sentence(
+        self, tmp_path, capsys, field, value
+    ):
+        staged_cfg = write_fixture_config(tmp_path, **RETRIEVAL)
+        for stage in ("ingest", "graph", "select"):
+            assert main([stage, "--config", staged_cfg]) == 0, stage
+        path = tmp_path / "out" / "retrieved.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        # a string names the id of the other field: one of the wrong origin
+        if value == "retrieved":
+            value = first["sentence_id"]
+        elif value == "query":
+            value = first["query_sentence_id"]
+        lines[0] = json.dumps({**first, field: value})
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["generate", "--config", staged_cfg]) == 1
