@@ -108,7 +108,8 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    return _print_stats(pipeline_mod.load_artifacts(os.path.abspath(args.out), ("stats",)).stats)
+    state = pipeline_mod.load_artifacts(os.path.abspath(args.out), ("stats", "timings"))
+    return _print_stats(state.stats)
 
 
 def _cmd_eval(args) -> int:

@@ -13,8 +13,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
-from .fileio import iter_lines, parse_json
+from .errors import ValidationError
+from .fileio import Field, check_record, iter_lines, parse_json
 from .offsets import ByteOffsets
 
 PLAIN_TEXT = "plain_text"
@@ -23,6 +23,10 @@ FORMATS = (PLAIN_TEXT, MRQA_JSONL)
 
 ORIGIN_CORPUS = "corpus"
 ORIGIN_RETRIEVED = "retrieved"
+ORIGINS = (ORIGIN_CORPUS, ORIGIN_RETRIEVED)
+
+# an MRQA context line; its other keys (qas, tokens) are not read
+MRQA_CONTEXT = {"context": Field(str, lambda v, r: v.strip() != "", "non-blank text")}
 
 # Tokens (casefolded, trailing period included) that never end a sentence.
 DEFAULT_ABBREVIATIONS = frozenset(
@@ -107,17 +111,10 @@ def _read_mrqa(path: str, dataset_id: str) -> list[Document]:
     for lineno, line in iter_lines(path, opener=opener):
         if line.startswith('{"header"'):
             continue
-        record = parse_json(line, path, lineno)
-        if not isinstance(record, dict) or "context" not in record:
-            raise ParseError(f"{path}:{lineno}: record is missing the 'context' field")
-        context = record["context"]
-        if not isinstance(context, str):
-            raise ParseError(f"{path}:{lineno}: 'context' is not a string")
-        if not context.strip():
-            raise ValidationError(
-                f"{path}:{lineno}: context is empty after whitespace normalization"
-            )
-        docs.append(Document(doc_id=f"{base}#{len(docs)}", dataset_id=dataset_id, text=context))
+        record = check_record(parse_json(line, path, lineno), MRQA_CONTEXT, f"{path}:{lineno}")
+        docs.append(
+            Document(doc_id=f"{base}#{len(docs)}", dataset_id=dataset_id, text=record["context"])
+        )
     return docs
 
 

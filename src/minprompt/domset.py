@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import COUNT, Field
 from .sentgraph import _SUBSET_SIGNS, SentenceGraph, _ranges, _run_starts
 
 DEGREE_RESIDUAL = "residual"
@@ -55,10 +56,7 @@ _SIGNS = tuple(_SUBSET_SIGNS.tolist())
 @dataclass(frozen=True)
 class DominatingSetResult:
     selected: tuple[int, ...]  # ascending
-    iterations: int
     max_degree: int
-    covered: int
-    uncovered_entities: int
 
 
 class _Residuals:
@@ -188,20 +186,7 @@ def approx_dominating_set(
                 residuals.cover(newly)
     # every node still uncovered has no uncovered neighbor left
     chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
-
-    selset = np.zeros(n, dtype=bool)
-    selset[chosen] = True
-    uncovered_entities = 0
-    if graph.keys:
-        represented = np.logical_or.reduceat(selset[graph.key_members], graph.key_indptr[:-1])
-        uncovered_entities = int(represented.size - represented.sum())
-    return DominatingSetResult(
-        selected=tuple(chosen.tolist()),
-        iterations=int(chosen.size),
-        max_degree=graph.max_degree(),
-        covered=n,
-        uncovered_entities=uncovered_entities,
-    )
+    return DominatingSetResult(selected=tuple(chosen.tolist()), max_degree=graph.max_degree())
 
 
 def _grouped(values: np.ndarray, nodes: np.ndarray):
@@ -233,6 +218,22 @@ def approximation_bound(max_degree: int) -> float:
     if max_degree < 0:
         raise ValidationError(f"max degree must be >= 0, got {max_degree}")
     return math.log(max(max_degree, 1)) + 2.0
+
+
+def selection_fields(node_count: int) -> dict[str, Field]:
+    """The record export_result writes (selection.json), its ids below `node_count`."""
+    return {
+        "selected": Field(
+            list,
+            # -1 < v[0] < v[1] < ... < node_count
+            lambda v, r: {int}.issuperset(map(type, v))
+            and all(a < b for a, b in zip([-1, *v], [*v, node_count])),
+            f"ascending distinct sentence ids below {node_count}",
+        ),
+        "size": Field(int, lambda v, r: v == len(r["selected"]), "the number of selected ids"),
+        "max_degree": COUNT,
+        "bound": Field(float),
+    }
 
 
 def export_result(result: DominatingSetResult) -> dict:

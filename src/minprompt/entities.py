@@ -3,7 +3,8 @@
 The built-in recognizer is a deterministic rule stand-in (gazetteers,
 numeric/date patterns, capitalized runs). Sidecar files let externally
 produced annotations be injected bit-exactly, and service mode calls an
-HTTP recognizer. All three paths run through one record validator and one
+HTTP recognizer. Sidecar lines, service replies and mentions.jsonl share one
+record declaration (`mention_fields`), and all three paths run through one
 overlap-resolution step, so they emit mentions with identical invariants.
 """
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 from .corpus import Sentence
 from .errors import PipelineError, ValidationError
-from .fileio import iter_jsonl, iter_lines
-from .offsets import ByteOffsets, byte_length, byte_slice
+from .fileio import COUNT, Field, check_record, iter_jsonl, iter_lines
+from .offsets import ByteOffsets
 
 ENTITY_TYPES = frozenset(
     {
@@ -346,53 +347,42 @@ def recognize_builtin(
     return mentions
 
 
-def _validate_record(
-    record: dict, sentences_by_id: dict[int, Sentence]
-) -> tuple[int, EntityMention]:
-    """Shared validator for sidecar and service records; the caller adds
-    the record's location to a ValidationError."""
-    for field_name in ("sentence_id", "start", "end", "surface", "type"):
-        if field_name not in record:
-            raise ValidationError(f"record is missing {field_name!r}")
-    sid = record["sentence_id"]
-    start, end = record["start"], record["end"]
-    surface, etype = record["surface"], record["type"]
-    # exact types: bool is an int subclass, and True == 1
-    if type(sid) is not int or sid not in sentences_by_id:
-        raise ValidationError(f"unknown sentence_id {sid!r}")
-    if etype not in ENTITY_TYPES:
-        raise ValidationError(f"unknown entity type {etype!r}")
-    sentence = sentences_by_id[sid]
-    if type(start) is not int or type(end) is not int or not start < end:
-        raise ValidationError(f"invalid span ({start!r}, {end!r})")
-    if end > byte_length(sentence.text):
-        raise ValidationError(f"span ({start}, {end}) out of bounds for sentence {sid}")
-    actual = byte_slice(sentence.text, start, end)
-    if actual != surface:
-        raise ValidationError(f"surface {surface!r} does not match sentence slice {actual!r}")
-    key = normalize_key(surface)
-    if not key:
-        raise ValidationError("surface normalizes to an empty key")
-    return sid, EntityMention(surface, etype, (start, end), key)
+def mention_fields(sentences_by_id: dict[int, Sentence]) -> dict[str, Field]:
+    """The mention record, which sidecar lines, service replies and
+    mentions.jsonl share, naming the sentences of `sentences_by_id`."""
+
+    def data(record: dict) -> bytes:
+        return sentences_by_id[record["sentence_id"]].text.encode("utf-8")
+
+    return {
+        "sentence_id": Field(int, lambda v, r: v in sentences_by_id, "a known sentence id"),
+        "start": COUNT,
+        "end": Field(
+            int, lambda v, r: r["start"] < v <= len(data(r)), "past start, within the sentence"
+        ),
+        "surface": Field(
+            str,
+            lambda v, r: data(r)[r["start"] : r["end"]] == v.encode("utf-8") and normalize_key(v),
+            "the sentence's bytes start..end, not all whitespace",
+        ),
+        "type": Field(str, lambda v, r: v in ENTITY_TYPES, "an entity type"),
+    }
 
 
-def _finalize(per_sentence: dict[int, list[EntityMention]]) -> dict[int, list[EntityMention]]:
-    """Apply longest-match overlap resolution per sentence and sort."""
+def _finalize(per_sentence: dict[int, list[dict]]) -> dict[int, list[EntityMention]]:
+    """The mentions of checked mention records: longest-match overlap
+    resolution per sentence, sorted by span."""
     out: dict[int, list[EntityMention]] = {}
-    for sid, mentions in per_sentence.items():
-        candidates = [
-            (m.char_span[0], m.char_span[1], m.entity_type, (0, i))
-            for i, m in enumerate(mentions)
-        ]
+    for sid, records in per_sentence.items():
+        candidates = [(r["start"], r["end"], r["type"], (0, i)) for i, r in enumerate(records)]
         keep_spans = {(s, e) for s, e, _t in _resolve_overlaps(candidates)}
-        seen: set[tuple[int, int]] = set()
-        kept: list[EntityMention] = []
-        for m in mentions:
-            if m.char_span in keep_spans and m.char_span not in seen:
-                seen.add(m.char_span)
-                kept.append(m)
-        kept.sort(key=lambda m: m.char_span)
-        out[sid] = kept
+        kept: dict[tuple[int, int], EntityMention] = {}
+        for r in records:
+            span = (r["start"], r["end"])
+            if span in keep_spans and span not in kept:
+                surface = r["surface"]
+                kept[span] = EntityMention(surface, r["type"], span, normalize_key(surface))
+        out[sid] = [kept[span] for span in sorted(kept)]
     return out
 
 
@@ -400,14 +390,10 @@ def load_sidecar(
     sidecar_path: str, sentences: list[Sentence]
 ) -> dict[int, list[EntityMention]]:
     """Load mention annotations from a JSON Lines sidecar file."""
-    by_id = {s.sentence_id: s for s in sentences}
-    per_sentence: dict[int, list[EntityMention]] = {s.sentence_id: [] for s in sentences}
-    for lineno, record in iter_jsonl(sidecar_path):
-        try:
-            sid, mention = _validate_record(record, by_id)
-        except ValidationError as exc:
-            raise ValidationError(f"{sidecar_path}:{lineno}: {exc}") from None
-        per_sentence[sid].append(mention)
+    fields = mention_fields({s.sentence_id: s for s in sentences})
+    per_sentence: dict[int, list[dict]] = {s.sentence_id: [] for s in sentences}
+    for _, record in iter_jsonl(sidecar_path, fields):
+        per_sentence[record["sentence_id"]].append(record)
     return _finalize(per_sentence)
 
 
@@ -457,27 +443,18 @@ def recognize_service(
             raise PipelineError(
                 f"recognizer service {endpoint} failed after 3 attempts: {last_error}"
             )
-        if not isinstance(body, dict) or not isinstance(body.get("mentions"), list):
-            raise ValidationError(
-                "service response must be an object with a 'mentions' list"
-            )
-        return body["mentions"]
+        return check_record(body, {"mentions": Field(list)}, "service response")["mentions"]
 
-    per_sentence: dict[int, list[EntityMention]] = {s.sentence_id: [] for s in sentences}
+    per_sentence: dict[int, list[dict]] = {s.sentence_id: [] for s in sentences}
     if batches:
         workers = max(1, min(max_in_flight, len(batches)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fetch, batches))
         for batch_index, (batch, records) in enumerate(zip(batches, results)):
-            batch_by_id = {s.sentence_id: s for s in batch}
+            fields = mention_fields({s.sentence_id: s for s in batch})
             for record_index, record in enumerate(records):
-                try:
-                    sid, mention = _validate_record(record, batch_by_id)
-                except ValidationError as exc:
-                    raise ValidationError(
-                        f"service batch {batch_index} record {record_index}: {exc}"
-                    ) from None
-                per_sentence[sid].append(mention)
+                where = f"service batch {batch_index} record {record_index}"
+                per_sentence[record["sentence_id"]].append(check_record(record, fields, where))
     return _finalize(per_sentence)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import ValidationError
-from .fileio import iter_jsonl
+from .fileio import Field, read_jsonl
 from .retrieval import tokenize
 
 
@@ -32,29 +32,18 @@ def token_f1(prediction: str, gold_answers: list[str]) -> float:
     return best
 
 
+PREDICTION = {"prediction": Field(str)}
+GOLD = {
+    "answers": Field(
+        list, lambda v, r: v and {str}.issuperset(map(type, v)), "a non-empty list of strings"
+    )
+}
+
+
 def evaluate_files(pred_path: str, gold_path: str) -> dict:
     """Score line-paired JSONL files: {"prediction": str} vs {"answers": [str...]}."""
-    predictions: list[str] = []
-    for lineno, record in iter_jsonl(pred_path):
-        prediction = record.get("prediction") if isinstance(record, dict) else None
-        if not isinstance(prediction, str):
-            raise ValidationError(
-                f"{pred_path}:{lineno}: expected an object with a string 'prediction'"
-            )
-        predictions.append(prediction)
-    golds: list[list[str]] = []
-    for lineno, record in iter_jsonl(gold_path):
-        answers = record.get("answers") if isinstance(record, dict) else None
-        if (
-            not isinstance(answers, list)
-            or not answers
-            or not all(isinstance(answer, str) for answer in answers)
-        ):
-            raise ValidationError(
-                f"{gold_path}:{lineno}: expected an object with a non-empty 'answers' list"
-                " of strings"
-            )
-        golds.append(answers)
+    predictions = [r["prediction"] for r in read_jsonl(pred_path, PREDICTION)]
+    golds = [r["answers"] for r in read_jsonl(gold_path, GOLD)]
     if len(predictions) != len(golds):
         raise ValidationError(
             f"prediction/gold line counts differ: {len(predictions)} vs {len(golds)}"

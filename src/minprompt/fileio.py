@@ -1,6 +1,10 @@
 """Reading and writing of every input and artifact file.
 
 Text that is not JSON raises ParseError("<path>:<line>: malformed JSON ...").
+A JSON record is declared once, as a dict of key -> Field, next to the code
+that writes it; a reader given the declaration checks each record with
+`check_record`, and a bad one raises
+ValidationError("<path>:<line>: <key> must be ...; got <value>").
 Writers write a temporary file next to the target and rename it over the
 target, so a reader sees the previous file or the whole new one, never a
 half-written one; a failed write leaves the previous file and no temporary.
@@ -8,13 +12,60 @@ half-written one; a failed write leaves the previous file and no temporary.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import reprlib
+from typing import Any, Callable, NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 # json.dumps builds a new encoder on every call that passes options
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+class Field(NamedTuple):
+    """A record key: the exact type of its value (a bool is not an int) and
+    an optional rule over the value and the whole record, which may use the
+    keys declared before it; `says` words the rule for the message."""
+
+    type: type
+    rule: Callable[[Any, dict], bool] | None = None
+    says: str = ""
+    optional: bool = False  # a record may leave the key out
+
+
+_KINDS = {str: "a string", int: "an int", float: "a number", list: "a list", dict: "an object"}
+COUNT = Field(int, lambda v, r: v >= 0, "a non-negative int")
+
+
+def check_record(record, fields: dict[str, Field], where: str):
+    """`record`, its keys checked against `fields` in order; a bad one is a
+    ValidationError starting with `where`."""
+    if type(record) is not dict:
+        raise ValidationError(f"{where}: expected an object; got {reprlib.repr(record)}")
+    for key, (kind, rule, says, optional) in fields.items():
+        if key not in record:
+            if optional:
+                continue
+            raise ValidationError(f"{where}: {key} is missing; got {reprlib.repr(record)}")
+        value = record[key]
+        if type(value) is not kind or not (rule is None or rule(value, record)):
+            says = says or _KINDS[kind]
+            raise ValidationError(f"{where}: {key} must be {says}; got {reprlib.repr(value)}")
+    return record
+
+
+def dense():
+    """A rule that holds for 0, 1, 2, ... in turn: ids dense from 0. One per read."""
+    ids = itertools.count()
+    return lambda v, r: v == next(ids)
+
+
+def distinct():
+    """A rule that holds for a value no record before held. One per read."""
+    seen = set()
+    return lambda v, r: v not in seen and not seen.add(v)  # set.add returns None
 
 
 def iter_lines(path: str, comments: bool = False, opener=open):
@@ -35,19 +86,24 @@ def parse_json(text: str, path: str, lineno: int = 1):
         raise ParseError(f"{path}:{lineno + exc.lineno - 1}: malformed JSON: {exc}") from exc
 
 
-def iter_jsonl(path: str):
-    """(line number, record) for each non-blank line of a JSON Lines file."""
+def iter_jsonl(path: str, fields: dict[str, Field] | None = None):
+    """(line number, record) for each non-blank line of a JSON Lines file,
+    each record checked against `fields` if given."""
     for lineno, line in iter_lines(path):
-        yield lineno, parse_json(line, path, lineno)
+        record = parse_json(line, path, lineno)
+        yield lineno, record if fields is None else check_record(
+            record, fields, f"{path}:{lineno}"
+        )
 
 
-def read_jsonl(path: str) -> list:
-    return [record for _, record in iter_jsonl(path)]
+def read_jsonl(path: str, fields: dict[str, Field] | None = None) -> list:
+    return [record for _, record in iter_jsonl(path, fields)]
 
 
-def read_json(path: str):
+def read_json(path: str, fields: dict[str, Field] | None = None):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_json(handle.read(), path)
+        value = parse_json(handle.read(), path)
+    return value if fields is None else check_record(value, fields, path)
 
 
 def write_text(text: str, path: str) -> None:

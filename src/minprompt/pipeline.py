@@ -24,6 +24,10 @@ leaves the same files as `run`, stats.json included, all but the echo.
 Same inputs and seed give byte-identical outputs, so wall times live in
 timings.json only.
 
+Each artifact's record is declared once, next to its writer, as fileio
+Fields; its reader checks every record, so a malformed file stops a stage
+command with `<file>: malformed artifact`, exit 1.
+
 Each config key is declared once, as a field of PipelineConfig: its
 annotation decides how a `key = value` line or a CLI flag is parsed and
 echoed, and a key ending in `_path`, `_paths` or `_dir` is a path, resolved
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
@@ -47,7 +51,19 @@ from . import sentgraph as sentgraph_mod
 from .corpus import Document, Sentence
 from .entities import EntityMention, RecognizerConfig
 from .errors import ParseError, PipelineError, StageError, ValidationError
-from .fileio import iter_lines, read_json, read_jsonl, write_json, write_jsonl, write_text
+from .fileio import (
+    COUNT,
+    Field,
+    dense,
+    distinct,
+    iter_lines,
+    read_json,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+    write_text,
+)
+from .offsets import byte_length
 from .qgen import RetrievedContext, WhPriors
 
 CONFIG_ECHO_NAME = "effective_config.cfg"
@@ -262,33 +278,22 @@ def expand_input_paths(paths: tuple[str, ...]) -> tuple[str, ...]:
 
 @dataclass
 class PipelineStats:
+    """The deterministic run statistics; its fields are stats.json's keys."""
+
     nodes: int = 0
     edges: int = 0
-    dominating_set_size: int = 0
+    dominating_set: int = 0
     training_samples: int = 0
     entities: int = 0
     max_degree: int = 0
     bound: float = 2.0
-    timings_ms: dict[str, int] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "dominating_set": self.dominating_set_size,
-            "training_samples": self.training_samples,
-            "entities": self.entities,
-            "max_degree": self.max_degree,
-            "bound": self.bound,
-            "timings_ms": dict(self.timings_ms),
-        }
 
 
 def stats_table(stats: PipelineStats) -> str:
     rows = [
         ("# nodes", stats.nodes),
         ("# edges", stats.edges),
-        ("# dominating set", stats.dominating_set_size),
+        ("# dominating set", stats.dominating_set),
         ("# training samples", stats.training_samples),
     ]
     width = max(len(label) for label, _ in rows)
@@ -312,25 +317,24 @@ class StageClock:
 
 
 # ---------------------------------------------------------------------------
-# artifact io
+# artifact io: each record is declared once, next to its writer, and read
+# through fileio's checker. A declaration whose rules name another artifact
+# (documents, sentences, the node count) or keep state (ids dense, doc_ids
+# distinct) is made per read.
 
 
 def write_documents(documents: list[Document], path: str) -> None:
-    write_jsonl(
-        (
-            {
-                "doc_id": d.doc_id,
-                "dataset_id": d.dataset_id,
-                "text": d.text,
-            }
-            for d in documents
-        ),
-        path,
-    )
+    # a Document's fields are the record's keys, in order
+    write_jsonl(map(vars, documents), path)
 
 
 def read_documents(path: str) -> list[Document]:
-    return [Document(r["doc_id"], r["dataset_id"], r["text"]) for r in read_jsonl(path)]
+    fields = {
+        "doc_id": Field(str, distinct(), "a string no earlier line holds"),
+        "dataset_id": Field(str),
+        "text": Field(str),
+    }
+    return [Document(r["doc_id"], r["dataset_id"], r["text"]) for r in read_jsonl(path, fields)]
 
 
 def write_sentences(sentences: list[Sentence], path: str) -> None:
@@ -350,7 +354,32 @@ def write_sentences(sentences: list[Sentence], path: str) -> None:
     )
 
 
-def read_sentences(path: str) -> list[Sentence]:
+def read_sentences(path: str, documents: list[Document] | None = None) -> list[Sentence]:
+    """sentences.jsonl; with `documents`, each corpus sentence is one's bytes."""
+    docs = None if documents is None else {d.doc_id: d.text.encode("utf-8") for d in documents}
+    fields = {
+        "sentence_id": Field(int, dense(), "the next id: ids run 0, 1, 2, ..."),
+        "origin": Field(
+            str, lambda v, r: v in corpus_mod.ORIGINS, f"one of {', '.join(corpus_mod.ORIGINS)}"
+        ),
+        "doc_id": Field(
+            str,
+            lambda v, r: docs is None or r["origin"] != corpus_mod.ORIGIN_CORPUS or v in docs,
+            "the doc_id of a document of documents.jsonl",
+        ),
+        "start": COUNT,
+        "text": Field(
+            str,
+            lambda v, r: docs is None or r["origin"] != corpus_mod.ORIGIN_CORPUS
+            or docs[r["doc_id"]].startswith(v.encode("utf-8"), r["start"]),
+            "its document's bytes from start",
+        ),
+        "end": Field(
+            int,
+            lambda v, r: v - r["start"] == byte_length(r["text"]),
+            "start plus the UTF-8 length of text",
+        ),
+    }
     return [
         Sentence(
             sentence_id=r["sentence_id"],
@@ -359,7 +388,7 @@ def read_sentences(path: str) -> list[Sentence]:
             text=r["text"],
             origin=r["origin"],
         )
-        for r in read_jsonl(path)
+        for r in read_jsonl(path, fields)
     ]
 
 
@@ -588,6 +617,7 @@ class PipelineState:
     selection: dict | None = None
     samples: list | None = None
     stats: PipelineStats | None = None
+    timings: dict[str, int] | None = None  # stage -> wall time in ms
 
 
 def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
@@ -599,42 +629,32 @@ def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
 
 
 def _read_retrieved(state: PipelineState, path: str) -> dict[int, int] | None:
+    """retrieved.jsonl, if there is one: each line pairs a retrieved sentence
+    of sentences.jsonl with the corpus sentence whose query fetched it."""
     if not os.path.exists(path):
         return None
-    query_of = {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path)}
-    # exact types: bool is an int subclass
-    if not {int}.issuperset(map(type, [*query_of, *query_of.values()])):
-        raise ValidationError("retrieved sentence ids must be ints")
-    # each pair names a retrieved sentence of sentences.jsonl (read before
-    # it) and the corpus sentence whose query fetched it
     origin = {s.sentence_id: s.origin for s in state.sentences}
-    for retrieved, query in query_of.items():
-        if (origin.get(retrieved), origin.get(query)) != (
-            corpus_mod.ORIGIN_RETRIEVED,
-            corpus_mod.ORIGIN_CORPUS,
-        ):
-            raise ValidationError(
-                f"sentence {retrieved} fetched by {query} is not a retrieved sentence"
-                " fetched by a corpus sentence"
-            )
-    return query_of
+    fields = {
+        "sentence_id": Field(
+            int, lambda v, r: origin.get(v) == corpus_mod.ORIGIN_RETRIEVED, "a retrieved id"
+        ),
+        "query_sentence_id": Field(
+            int, lambda v, r: origin.get(v) == corpus_mod.ORIGIN_CORPUS, "a corpus sentence id"
+        ),
+    }
+    return {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path, fields)}
 
 
-def _read_selection(state: PipelineState, path: str) -> dict:
-    """selection.json, its ids checked against graph_stats.json's node count
-    and for the ascending distinct order the greedy writes."""
-    selection = read_json(path)
-    nodes = _node_count(state)
-    selected, size = selection["selected"], selection["size"]
-    if not isinstance(selected, list) or not all(
-        type(v) is int and 0 <= v < nodes for v in selected
-    ):
-        raise ValidationError(f"'selected' must be a list of sentence ids in 0..{nodes - 1}")
-    if any(b <= a for a, b in zip(selected, selected[1:])):
-        raise ValidationError("'selected' must hold distinct ids in ascending order")
-    if type(size) is not int or size != len(selected):
-        raise ValidationError(f"'size' is {size!r} but 'selected' holds {len(selected)} ids")
-    return selection
+# graph.stats() as written; a file written for `select` alone holds no edges
+GRAPH_STATS = {
+    f.name: COUNT._replace(optional=f.name != "nodes") for f in fields(sentgraph_mod.GraphStats)
+}
+STATS = {f.name: COUNT if f.type == "int" else Field(float) for f in fields(PipelineStats)}
+TIMINGS = {
+    "timings_ms": Field(
+        dict, lambda v, r: {int}.issuperset(map(type, v.values())), "an object of int milliseconds"
+    )
+}
 
 
 # field of PipelineState -> (file in the output directory, writer(value, path),
@@ -645,7 +665,9 @@ ARTIFACTS = {
         "documents.jsonl", lambda v, p: write_documents(v, p), lambda st, p: read_documents(p)
     ),
     "sentences": (
-        "sentences.jsonl", lambda v, p: write_sentences(v, p), lambda st, p: read_sentences(p)
+        "sentences.jsonl",
+        lambda v, p: write_sentences(v, p),
+        lambda st, p: read_sentences(p, st.documents),
     ),
     "mentions": (
         "mentions.jsonl",
@@ -653,21 +675,32 @@ ARTIFACTS = {
         lambda st, p: read_mentions(p, st.sentences),
     ),
     "query_of": ("retrieved.jsonl", _write_retrieved, _read_retrieved),
+    "graph_stats": (
+        "graph_stats.json",
+        lambda v, p: write_json(v, p, indent=2),
+        lambda st, p: read_json(p, GRAPH_STATS),
+    ),
     "graph": (
         "postings.jsonl",
         lambda v, p: sentgraph_mod.write_postings_dump(v, p),
-        lambda st, p: sentgraph_mod.read_postings_dump(p, _node_count(st)),
+        lambda st, p: sentgraph_mod.read_postings_dump(p, st.graph_stats["nodes"]),
     ),
-    "graph_stats": (
-        "graph_stats.json", lambda v, p: write_json(v, p, indent=2), lambda st, p: read_json(p)
+    "selection": (
+        "selection.json",
+        write_json,
+        lambda st, p: read_json(p, domset_mod.selection_fields(st.graph_stats["nodes"])),
     ),
-    "selection": ("selection.json", write_json, _read_selection),
     "samples": ("samples.jsonl", lambda v, p: qgen_mod.write_samples_jsonl(v, p), None),
-    # with timings.json
     "stats": (
         "stats.json",
-        lambda v, p: write_stats_files(v, os.path.dirname(p)),
-        lambda st, p: read_stats(os.path.dirname(p)),
+        lambda v, p: write_json(asdict(v), p),
+        lambda st, p: PipelineStats(**read_json(p, STATS)),
+    ),
+    # wall times, kept out of stats.json so that reruns stay byte-identical
+    "timings": (
+        "timings.json",
+        lambda v, p: write_json({"timings_ms": v}, p),
+        lambda st, p: read_json(p, TIMINGS)["timings_ms"] if os.path.exists(p) else {},
     ),
 }
 
@@ -685,30 +718,6 @@ def load_artifacts(out_dir: str, names: tuple[str, ...]) -> PipelineState:
             ) from exc
         setattr(state, name, value)
     return state
-
-
-def _artifact_fields(state: PipelineState, name: str, *keys: str) -> list:
-    """The values of `keys` in the JSON object artifact `name`; a missing key
-    is a PipelineError naming the artifact's file."""
-    value = getattr(state, name)
-    missing = [key for key in keys if not isinstance(value, dict) or key not in value]
-    if missing:
-        raise PipelineError(
-            f"{ARTIFACTS[name][0]}: malformed artifact, missing {', '.join(map(repr, missing))}"
-        )
-    return [value[key] for key in keys]
-
-
-def _node_count(state: PipelineState) -> int:
-    """graph_stats.json's node count; one that is not a non-negative int is
-    a PipelineError naming the file."""
-    (nodes,) = _artifact_fields(state, "graph_stats", "nodes")
-    if type(nodes) is not int or nodes < 0:  # exact: bool is an int subclass
-        raise PipelineError(
-            f"{ARTIFACTS['graph_stats'][0]}: malformed artifact, 'nodes' is {nodes!r},"
-            " not a non-negative int"
-        )
-    return nodes
 
 
 def save_artifacts(state: PipelineState, out_dir: str, names) -> None:
@@ -757,30 +766,32 @@ def _select_body(config: PipelineConfig, clock: StageClock, state: PipelineState
 
 
 def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineState) -> str:
-    nodes, edges, entities = _artifact_fields(state, "graph_stats", "nodes", "edges", "entities")
-    selected, size, max_degree, bound = _artifact_fields(
-        state, "selection", "selected", "size", "max_degree", "bound"
-    )
+    graph_stats, selection = state.graph_stats, state.selection
+    missing = [key for key in ("edges", "entities") if key not in graph_stats]
+    if missing:
+        raise PipelineError(
+            f"graph_stats.json: malformed artifact, missing {', '.join(map(repr, missing))}"
+        )
     state.samples = clock.run(
         "generate",
         stage_generate,
         config,
-        selected,
+        selection["selected"],
         state.sentences,
         state.mentions,
         {d.doc_id: d for d in state.documents},
         state.query_of or {},
     )
     state.stats = PipelineStats(
-        nodes=nodes,
-        edges=edges,
-        dominating_set_size=size,
+        nodes=graph_stats["nodes"],
+        edges=graph_stats["edges"],
+        dominating_set=selection["size"],
         training_samples=len(state.samples),
-        entities=entities,
-        max_degree=max_degree,
-        bound=bound,
-        timings_ms=clock.timings_ms,  # shared, so later stages still land in timings.json
+        entities=graph_stats["entities"],
+        max_degree=selection["max_degree"],
+        bound=selection["bound"],
     )
+    state.timings = clock.timings_ms  # shared, so later stages still land in timings.json
     return f"wrote {len(state.samples)} samples"
 
 
@@ -809,7 +820,7 @@ STAGES = {
         "assemble training samples from a selection",
         ("documents", "sentences", "mentions", "query_of", "graph_stats", "selection"),
         _generate_body,
-        ("samples", "stats"),
+        ("samples", "stats", "timings"),
     ),
 }
 
@@ -826,37 +837,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineStats:
 
     def write_artifacts():
         # sentences.jsonl is written once, with the graph stage's extended table
-        save_artifacts(state, out_dir, [name for name in ARTIFACTS if name != "stats"])
+        save_artifacts(state, out_dir, [n for n in ARTIFACTS if n not in ("stats", "timings")])
         write_config_echo(config, os.path.join(out_dir, CONFIG_ECHO_NAME))
 
     clock.run("write", write_artifacts)
     # last, so that timings.json includes the write stage
-    save_artifacts(state, out_dir, ("stats",))
+    save_artifacts(state, out_dir, ("stats", "timings"))
     return state.stats
-
-
-def write_stats_files(stats: PipelineStats, out_dir: str) -> None:
-    """stats.json holds the deterministic fields; wall times go to
-    timings.json so reruns stay byte-identical."""
-    payload = stats.to_json_dict()
-    timings = payload.pop("timings_ms")
-    write_json(payload, os.path.join(out_dir, "stats.json"))
-    write_json({"timings_ms": timings}, os.path.join(out_dir, "timings.json"))
-
-
-def read_stats(out_dir: str) -> PipelineStats:
-    payload = read_json(os.path.join(out_dir, "stats.json"))
-    timings = {}
-    timings_path = os.path.join(out_dir, "timings.json")
-    if os.path.exists(timings_path):
-        timings = read_json(timings_path).get("timings_ms", {})
-    return PipelineStats(
-        nodes=payload["nodes"],
-        edges=payload["edges"],
-        dominating_set_size=payload["dominating_set"],
-        training_samples=payload["training_samples"],
-        entities=payload["entities"],
-        max_degree=payload["max_degree"],
-        bound=payload["bound"],
-        timings_ms=timings,
-    )

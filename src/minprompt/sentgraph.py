@@ -58,8 +58,8 @@ import numpy as np
 
 from .corpus import Sentence
 from .entities import EntityMention
-from .errors import ParseError, ValidationError
-from .fileio import iter_jsonl, write_jsonl
+from .errors import ValidationError
+from .fileio import Field, distinct, iter_jsonl, write_jsonl
 
 SCOPE_CORPUS = "corpus"
 SCOPE_DOCUMENT = "document"
@@ -514,23 +514,17 @@ def write_postings_dump(graph: SentenceGraph, path: str) -> None:
 
 
 def read_postings_dump(path: str, node_count: int) -> SentenceGraph:
-    """Rebuild a graph from a postings dump plus the node count.
-
-    A line that is not {"entity": str, "sentences": [int, ...]} raises
-    ParseError naming it; no id is cast, so 0.7, "0" and true are rejected.
-    """
-    raw = {}
-    for lineno, record in iter_jsonl(path):
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}:{lineno}: a postings line must be an object")
-        entity, ids = record.get("entity"), record.get("sentences")
-        if not isinstance(entity, str):
-            raise ParseError(f"{path}:{lineno}: 'entity' must be a string")
-        # exact types: bool is an int subclass
-        if not isinstance(ids, list) or not {int}.issuperset(map(type, ids)):
-            raise ParseError(f"{path}:{lineno}: 'sentences' must be a list of ints")
-        try:
-            raw[entity] = array("q", ids)  # 8 bytes an id, not a Python int object
-        except OverflowError:
-            raise ParseError(f"{path}:{lineno}: a sentence id does not fit in 64 bits") from None
+    """Rebuild a graph from a postings dump plus the node count; each line
+    is checked against the posting record, ids in 0..node_count-1."""
+    fields = {
+        "entity": Field(str, distinct(), "a string no earlier line holds"),
+        "sentences": Field(
+            list,
+            lambda v, r: {int}.issuperset(map(type, v))
+            and (not v or 0 <= min(v) <= max(v) < node_count),
+            f"a list of ids below {node_count}",
+        ),
+    }
+    # 8 bytes an id, not a Python int object
+    raw = {r["entity"]: array("q", r["sentences"]) for _, r in iter_jsonl(path, fields)}
     return SentenceGraph.from_postings(node_count, raw)

@@ -140,7 +140,7 @@ def heap_dominating_set(graph: DictGraph, degree_mode: str = "residual") -> dict
     """Greedy with a lazy max-heap and per-node union loops for the
     residual updates; the same selection rule as domset's bucket queue.
 
-    Returns selected (ascending), covered and uncovered_entities.
+    Returns {"selected": the selected ids, ascending}.
     """
     n = graph.node_count
     postings, node_keys = graph.postings, graph.node_keys
@@ -173,13 +173,7 @@ def heap_dominating_set(graph: DictGraph, degree_mode: str = "residual") -> dict
                 union = live[0] if len(live) == 1 else np.unique(np.concatenate(live))
                 targets = union[~covered[union]]
                 residual[targets] -= 1
-    selset = np.zeros(n, dtype=bool)
-    selset[selected] = True
-    return {
-        "selected": tuple(sorted(selected)),
-        "covered": int(covered.sum()),
-        "uncovered_entities": sum(1 for m in postings.values() if not selset[m].any()),
-    }
+    return {"selected": tuple(sorted(selected))}
 
 
 def brute_force_dominating_set(graph: SentenceGraph) -> list[int]:

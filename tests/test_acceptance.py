@@ -132,7 +132,6 @@ def test_criterion_03_validity_at_scale():
         result = approx_dominating_set(graph)
         elapsed = time.perf_counter() - start
         assert graph.edge_count() >= 10_000_000
-        assert result.covered == node_count
         assert is_dominating_set(graph, result.selected)
         # implicit representation only: stored ids stay postings-sized, no
         # structure grows with the 1e7+ edge count
@@ -371,7 +370,7 @@ def test_criterion_10_fixture_goldens(tmp_path):
         stats = run_pipeline(config)
         assert stats.nodes == GOLDEN_NODES
         assert stats.edges == GOLDEN_EDGES
-        assert stats.dominating_set_size == GOLDEN_DOMSET
+        assert stats.dominating_set == GOLDEN_DOMSET
         assert stats.training_samples == GOLDEN_SAMPLES
 
         # re-derive nodes/edges/selection through the reference path:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,7 +108,8 @@ class TestIngestMrqa:
 
     def test_missing_context_field(self, tmp_path):
         path = self.write_mrqa(tmp_path / "d.jsonl.gz", [{"qas": []}])
-        with pytest.raises(ParseError, match="context"):
+        message = f"{path}:2: context is missing; got {{'qas': []}}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ingest([path], "mrqa_jsonl")
 
     def test_dedup_contexts_switch(self, tmp_path):

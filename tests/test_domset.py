@@ -30,8 +30,6 @@ class TestGreedy:
         graph = graph_of(4, FIGURE_POSTINGS)
         result = approx_dominating_set(graph)
         assert result.selected == (2,)
-        assert result.covered == 4
-        assert result.iterations == 1
         # exhaustive search agrees the optimum has size 1
         assert len(brute_force_dominating_set(graph)) == 1
 
@@ -48,7 +46,6 @@ class TestGreedy:
     def test_empty_graph(self):
         result = approx_dominating_set(graph_of(0, {}))
         assert result.selected == ()
-        assert result.covered == 0
 
     def test_tie_breaks_toward_smallest_id(self):
         # two disjoint edges: residual degrees all 1; ids decide
@@ -98,14 +95,6 @@ class TestGreedy:
         with pytest.raises(ValidationError):
             approx_dominating_set(graph_of(1, {}), degree_mode="dynamic")
 
-    def test_uncovered_entities_diagnostic(self):
-        # entity "b" is shared only by the two dominated-but-unselected outer
-        # nodes of a star, so it stays unrepresented in the selection
-        graph = graph_of(3, {"a": [0, 1], "c": [0, 2], "b": [1, 2]})
-        result = approx_dominating_set(graph)
-        assert result.selected == (0,)
-        assert result.uncovered_entities == 1
-
 
 class TestValidity:
     def test_validity_on_500_random_graphs(self):
@@ -118,8 +107,6 @@ class TestValidity:
             graph = graph_of(n, oracles.gnp_postings(rng, n, p))
             result = approx_dominating_set(graph)
             assert is_dominating_set(graph, result.selected)
-            assert result.covered == n
-            assert result.iterations == len(result.selected)
             checked += 1
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import socket
 import time
 
@@ -288,7 +289,9 @@ class TestSidecar:
         path = self.write_sidecar(
             tmp_path, [{"sentence_id": 0, "start": 0, "end": 99, "surface": "Short.", "type": "MISC"}]
         )
-        with pytest.raises(ValidationError, match="out of bounds"):
+        with pytest.raises(
+            ValidationError, match=f"^{re.escape(path)}:1: end must be past start, .*; got 99$"
+        ):
             load_sidecar(path, sentences)
 
     def test_error_names_the_record_location(self, tmp_path):
@@ -406,14 +409,17 @@ class TestServiceMode:
         mentions = recognize_service(sentences[:2], recognizer_service, batch_size=2)
         assert surfaces(mentions[0]) == [("Lakers", "ORG")]
         # batch 1 holds sentences 2 and 3 but its reply names sentence 0
-        with pytest.raises(ValidationError, match="batch 1 record 0: unknown sentence_id 0"):
+        with pytest.raises(
+            ValidationError,
+            match="^service batch 1 record 0: sentence_id must be a known sentence id; got 0$",
+        ):
             recognize_service(sentences, recognizer_service, batch_size=2, max_in_flight=1)
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            ({"sentence_id": True, "start": 4, "end": 10}, "unknown sentence_id True"),
-            ({"sentence_id": 1, "start": False, "end": 3}, r"invalid span \(False, 3\)"),
+            ({"sentence_id": True, "start": 4, "end": 10}, "sentence_id must be .*; got True$"),
+            ({"sentence_id": 1, "start": False, "end": 3}, "start must be .*; got False$"),
         ],
         ids=["bool_sentence_id", "bool_offset"],
     )

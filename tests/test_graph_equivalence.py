@@ -73,9 +73,6 @@ def test_graph_matches_dict_oracle(case):
             ours = approx_dominating_set(graph, degree_mode=mode)
             reference = oracles.heap_dominating_set(oracle, degree_mode=mode)
             assert ours.selected == reference["selected"], mode
-            assert ours.covered == reference["covered"]
-            assert ours.uncovered_entities == reference["uncovered_entities"]
-            assert ours.iterations == len(ours.selected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,20 +19,35 @@ from minprompt.cli import _build_parser, _load_config, main
 from minprompt.errors import ValidationError
 from minprompt.pipeline import (
     PipelineConfig,
+    PipelineState,
     PipelineStats,
     expand_input_paths,
+    load_artifacts,
     load_config,
-    read_stats,
     run_pipeline,
+    save_artifacts,
     stats_table,
     write_config_echo,
-    write_stats_files,
 )
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DOCS_DIR = os.path.join(FIXTURE_DIR, "docs")
 GAZETTEER = os.path.join(FIXTURE_DIR, "gazetteer.tsv")
 RETRIEVAL = {"retrieval_enabled": "true", "support_paths": DOCS_DIR}
+# config overrides that between them write every artifact and every record shape
+FIXTURE_CONFIGS = {
+    "plain": {},
+    "retrieval": RETRIEVAL,
+    "retrieval_both_top3": {**RETRIEVAL, "question_style": "both", "retrieval_top_k": "3"},
+    "retrieval_cloze_relaxed": {
+        **RETRIEVAL,
+        "question_style": "cloze",
+        "require_answer_entity": "false",
+        "exclude_source_context": "false",
+        "min_extra_shared_entities": "0",
+    },
+    "document_static": {"graph_scope": "document", "degree_mode": "static"},
+}
 STAGE_COMMANDS = ("ingest", "graph", "select", "generate")
 # every file both `run` and a staged chain write (effective_config.cfg and
 # the non-deterministic timings.json left out)
@@ -305,11 +320,11 @@ class TestRunPipeline:
         ):
             assert os.path.exists(os.path.join(out, name)), name
         assert stats.nodes > 0
-        assert stats.dominating_set_size <= stats.nodes
-        assert stats.training_samples >= stats.dominating_set_size
+        assert stats.dominating_set <= stats.nodes
+        assert stats.training_samples >= stats.dominating_set
         with open(os.path.join(out, "selection.json"), encoding="utf-8") as fh:
             selection = json.load(fh)
-        assert selection["size"] == stats.dominating_set_size
+        assert selection["size"] == stats.dominating_set
         samples = [
             json.loads(line)
             for line in open(os.path.join(out, "samples.jsonl"), encoding="utf-8")
@@ -322,16 +337,33 @@ class TestRunPipeline:
     def test_stats_json_schema_round_trip(self, tmp_path):
         config = load_config(write_fixture_config(tmp_path))
         stats = run_pipeline(config)
-        payload = stats.to_json_dict()
+        payload = json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))
         assert set(payload) == {
             "nodes", "edges", "dominating_set", "training_samples",
-            "entities", "max_degree", "bound", "timings_ms",
+            "entities", "max_degree", "bound",
         }
-        assert json.loads(json.dumps(payload)) == payload
-        reread = read_stats(config.output_dir)
-        assert reread.nodes == stats.nodes
-        assert reread.training_samples == stats.training_samples
-        assert reread.bound == pytest.approx(stats.bound)
+        reread = load_artifacts(config.output_dir, ("stats", "timings"))
+        assert reread.stats == stats
+        assert set(reread.timings) == {
+            "ingest", "recognize", "build_graph", "dominating_set", "generate", "write"
+        }
+
+    @pytest.mark.parametrize("overrides", FIXTURE_CONFIGS.values(), ids=FIXTURE_CONFIGS)
+    def test_every_artifact_reads_back_to_its_bytes(self, tmp_path, overrides):
+        # each reader checks its file against the declaration its writer
+        # follows, so a writer that emits a record its declaration rejects fails here
+        config = load_config(write_fixture_config(tmp_path, **overrides))
+        run_pipeline(config)
+        names = [name for name, (_, _, read) in pipeline_mod.ARTIFACTS.items() if read]
+        again = tmp_path / "again"
+        again.mkdir()
+        save_artifacts(load_artifacts(config.output_dir, names), str(again), names)
+        written = sorted(os.listdir(config.output_dir))
+        assert sorted(os.listdir(again)) == [
+            name for name in written if name not in ("samples.jsonl", "effective_config.cfg")
+        ]
+        for name in os.listdir(again):
+            assert (again / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
     def test_rerun_reproduces_outputs_from_echo(self, tmp_path):
         config = load_config(write_fixture_config(tmp_path))
@@ -353,7 +385,7 @@ class TestRunPipeline:
         )
         stats = run_pipeline(load_config(str(cfg)))
         assert stats.training_samples == 0
-        assert stats.dominating_set_size == stats.nodes  # isolated nodes all selected
+        assert stats.dominating_set == stats.nodes  # isolated nodes all selected
 
     def test_retrieval_end_to_end(self, tmp_path):
         # support corpus = the fixture docs themselves; different documents
@@ -476,17 +508,15 @@ class TestRunPipeline:
 
 class TestStatsTable:
     def test_row_labels(self):
-        stats = PipelineStats(nodes=4, edges=4, dominating_set_size=1, training_samples=3)
+        stats = PipelineStats(nodes=4, edges=4, dominating_set=1, training_samples=3)
         table = stats_table(stats)
         for label in ("# nodes", "# edges", "# dominating set", "# training samples"):
             assert label in table
 
     def test_stats_report_writes_and_formats(self, tmp_path):
-        stats = PipelineStats(
-            nodes=4, edges=4, dominating_set_size=1, training_samples=3,
-            timings_ms={"ingest": 5},
-        )
-        write_stats_files(stats, str(tmp_path))
+        stats = PipelineStats(nodes=4, edges=4, dominating_set=1, training_samples=3)
+        state = PipelineState(stats=stats, timings={"ingest": 5})
+        save_artifacts(state, str(tmp_path), ("stats", "timings"))
         assert "# dominating set" in stats_table(stats)
         payload = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
         assert payload["dominating_set"] == 1
@@ -589,11 +619,16 @@ class TestCli:
             ("postings.jsonl", '{"entity": "lakers", "sentences": [0.7]}', "select"),
             ("sentences.jsonl", '{"sentence_id": 1000}', "graph"),
             ("mentions.jsonl", '{"sentence_id": 0, "start": 0', "generate"),
+            (
+                "documents.jsonl",
+                '{"doc_id": "doc01.txt", "dataset_id": "fixture", "text": "Again."}',
+                "generate",
+            ),
         ],
         ids=[
             "truncated_postings", "postings_missing_key", "postings_not_an_object",
             "postings_id_out_of_range", "postings_float_id", "sentence_missing_keys",
-            "truncated_mentions",
+            "truncated_mentions", "repeated_doc_id",
         ],
     )
     def test_stage_reports_malformed_artifact(
@@ -621,11 +656,27 @@ class TestCli:
             ("graph_stats.json", "nodes", 1e3, "select"),
             ("graph_stats.json", "nodes", True, "select"),
             ("graph_stats.json", "nodes", -1, "generate"),
+            ("graph_stats.json", "edges", "many", "generate"),
+            ("selection.json", "max_degree", "big", "generate"),
+            # a JSON Lines file: the value goes into its first line
+            ("sentences.jsonl", "start", -5, "graph"),
+            ("sentences.jsonl", "doc_id", "nowhere.txt", "generate"),
+            ("sentences.jsonl", "text", "The", "graph"),
+            ("sentences.jsonl", "origin", "elsewhere", "graph"),
+            ("sentences.jsonl", "sentence_id", True, "graph"),
+            ("documents.jsonl", "text", 5, "generate"),
+            # as long as the sentence, "The Lakers were founded in Minneapolis in 1947."
+            (
+                "sentences.jsonl", "text", "The Lakers were founded in Minneapolis in 1948.",
+                "generate",
+            ),
         ],
         ids=[
             "selected_bool", "selected_out_of_range", "selected_negative",
             "selected_not_a_list", "size_differs", "nodes_float", "nodes_bool",
-            "nodes_negative",
+            "nodes_negative", "edges_string", "max_degree_string", "sentence_start_negative",
+            "sentence_doc_id_unknown", "sentence_span_not_text_length", "sentence_origin_unknown",
+            "sentence_id_bool", "document_text_int", "sentence_text_not_document_bytes",
         ],
     )
     def test_stage_rejects_a_bad_artifact_value(
@@ -635,10 +686,15 @@ class TestCli:
         for stage in ("ingest", "graph", "select"):
             assert main([stage, "--config", staged_cfg]) == 0, stage
         path = tmp_path / "out" / file_name
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if field == "selected" and isinstance(value, list):
-            value = payload["selected"][:-1] + value  # same length as 'size'
-        path.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
+        if file_name.endswith(".jsonl"):
+            first, *rest = path.read_text(encoding="utf-8").splitlines()
+            lines = [json.dumps({**json.loads(first), field: value}), *rest]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if field == "selected" and isinstance(value, list):
+                value = payload["selected"][:-1] + value  # same length as 'size'
+            path.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
         capsys.readouterr()
         assert main([command, "--config", staged_cfg]) == 1
         assert capsys.readouterr().err.startswith(
@@ -725,6 +781,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"minprompt: error: {file_name}: malformed artifact (ParseError: ")
         assert f"{path}:{lineno}: malformed JSON" in err
+
+    def test_stats_reports_malformed_timings_json(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        (tmp_path / "out" / "timings.json").write_text("[]\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "minprompt: error: timings.json: malformed artifact"
+        )
 
     @pytest.mark.parametrize("content", ['{"nodes": ', "{}"], ids=["truncated", "missing_keys"])
     def test_stats_reports_malformed_stats_json(self, tmp_path, capsys, content):

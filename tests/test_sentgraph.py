@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import make_sentence, mention_at
-from minprompt.errors import ParseError, ValidationError
+from minprompt.errors import ValidationError
 from minprompt.sentgraph import (
     SentenceGraph,
     build_graph,
@@ -178,6 +178,9 @@ class TestMemoryContract:
         assert not hasattr(graph, "edges")
 
 
+IDS_BELOW_4 = "sentences must be a list of ids below 4"
+
+
 class TestDump:
     def test_round_trip(self, tmp_path, lakers_sentences):
         sentences, mentions = lakers_sentences
@@ -194,15 +197,21 @@ class TestDump:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('["lakers", [0, 1]]', "must be an object"),
-            ('{"entity": 3, "sentences": [0, 1]}', "'entity' must be a string"),
-            ('{"sentences": [0, 1]}', "'entity' must be a string"),
-            ('{"entity": "lakers", "sentences": [0.7]}', "list of ints"),
-            ('{"entity": "lakers", "sentences": ["0"]}', "list of ints"),
-            ('{"entity": "lakers", "sentences": [0, true]}', "list of ints"),
-            ('{"entity": "lakers", "sentences": 1}', "list of ints"),
-            ('{"entity": "lakers"}', "list of ints"),
-            ('{"entity": "lakers", "sentences": [0, 9223372036854775808]}', "fit in 64 bits"),
+            ('["lakers", [0, 1]]', "expected an object; got ['lakers', [0, 1]]"),
+            (
+                '{"entity": 3, "sentences": [0, 1]}',
+                "entity must be a string no earlier line holds; got 3",
+            ),
+            ('{"sentences": [0, 1]}', "entity is missing; got {'sentences': [0, 1]}"),
+            ('{"entity": "lakers", "sentences": [0.7]}', f"{IDS_BELOW_4}; got [0.7]"),
+            ('{"entity": "lakers", "sentences": ["0"]}', f"{IDS_BELOW_4}; got ['0']"),
+            ('{"entity": "lakers", "sentences": [0, true]}', f"{IDS_BELOW_4}; got [0, True]"),
+            ('{"entity": "lakers", "sentences": 1}', f"{IDS_BELOW_4}; got 1"),
+            ('{"entity": "lakers"}', "sentences is missing; got {'entity': 'lakers'}"),
+            (
+                '{"entity": "lakers", "sentences": [0, 9223372036854775808]}',
+                f"{IDS_BELOW_4}; got [0, 9223372036854775808]",
+            ),
         ],
         ids=[
             "not_an_object", "int_entity", "no_entity", "float_id", "string_id",
@@ -212,7 +221,7 @@ class TestDump:
     def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "postings.jsonl"
         path.write_text('{"entity": "arena", "sentences": [2, 3]}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: .*{re.escape(message)}"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             read_postings_dump(str(path), 4)
 
     def test_int_ids_and_empty_lists_accepted(self, tmp_path):
