@@ -8,7 +8,7 @@ the output directory:
               sentences.jsonl   segmented sentences
     graph     sentences.jsonl   the same, retrieved ones appended
               mentions.jsonl    entity mentions, sidecar-compatible records
-              retrieved.jsonl   retrieved-sentence provenance (only with retrieval)
+              retrieved.jsonl   each retrieved sentence's query sentence (only with retrieval)
               postings.jsonl    entity -> sentence-id posting lists
               graph_stats.json  node/edge/entity counts
     select    selection.json    dominating-set result
@@ -64,7 +64,7 @@ from .fileio import (
     write_text,
 )
 from .offsets import byte_length
-from .qgen import RetrievedContext, WhPriors
+from .qgen import WhPriors
 
 CONFIG_ECHO_NAME = "effective_config.cfg"
 
@@ -435,26 +435,6 @@ def ingest_and_segment(
     return documents, corpus_mod.segment_corpus(documents, abbreviations)
 
 
-def build_doc_key_spans(
-    sentences: list[Sentence], mentions: dict[int, list[EntityMention]]
-) -> dict[str, dict[str, tuple[int, int]]]:
-    """Per document, the first occurrence (byte span) of each entity key."""
-    spans: dict[str, dict[str, tuple[int, int]]] = {}
-    for sentence in sentences:
-        if sentence.origin != corpus_mod.ORIGIN_CORPUS:
-            continue
-        doc_spans = spans.setdefault(sentence.doc_id, {})
-        for m in mentions.get(sentence.sentence_id, ()):
-            doc_spans.setdefault(
-                m.normalized_key,
-                (
-                    sentence.char_span[0] + m.char_span[0],
-                    sentence.char_span[0] + m.char_span[1],
-                ),
-            )
-    return spans
-
-
 def stage_retrieve(
     config: PipelineConfig,
     sentences: list[Sentence],
@@ -468,7 +448,7 @@ def stage_retrieve(
     corpora are recognized.
     Returns the extended sentence list, extended mentions, and a map from
     each retrieved sentence id to the query sentence id that fetched it
-    first (context provenance).
+    first; qgen trains the retrieved sentence on that query's document.
     """
     _, support_sentences = ingest_and_segment(
         config, config.support_paths, config.support_format
@@ -496,13 +476,12 @@ def stage_retrieve(
     extended = list(sentences)
     extended_mentions = dict(mentions)
     query_of: dict[int, int] = {}
-    seen_support: dict[tuple[str, tuple[int, int]], int] = {}
+    seen_support: set[tuple[str, tuple[int, int]]] = set()
     for sentence in sentences:
         sentence_mentions = mentions.get(sentence.sentence_id, ())
         if not sentence_mentions:
             continue
         query_keys = frozenset(m.normalized_key for m in sentence_mentions)
-        context_entities = frozenset(doc_entities[sentence.doc_id])
         # the ranking depends on the sentence only, so every mention shares it
         ranking = retrieval_mod.rank(
             index, retrieval_mod.tokenize(sentence.text), limit=config.retrieval_top_k
@@ -512,7 +491,7 @@ def stage_retrieve(
                 index,
                 sentence,
                 mention,
-                context_entities=context_entities,
+                context_entities=doc_entities[sentence.doc_id],
                 constraints=constraints,
                 query_keys=query_keys,
                 top_k=config.retrieval_top_k,
@@ -523,8 +502,8 @@ def stage_retrieve(
             identity = (hit.doc_id, hit.char_span)
             if identity in seen_support:
                 continue
+            seen_support.add(identity)
             new_id = len(extended)
-            seen_support[identity] = new_id
             extended.append(
                 Sentence(
                     sentence_id=new_id,
@@ -552,38 +531,17 @@ def stage_build_graph(
     return sentgraph_mod.build_graph(sentences, mentions, stoplist, config.graph_scope)
 
 
-def build_retrieved_context(
-    sentences: list[Sentence],
-    mentions: dict[int, list[EntityMention]],
-    documents: dict[str, Document],
-    query_of: dict[int, int],
-) -> dict[int, RetrievedContext]:
-    """Pair each retrieved sentence with its query's source document."""
-    by_id = {s.sentence_id: s for s in sentences}
-    doc_key_spans = build_doc_key_spans(sentences, mentions)
-    out: dict[int, RetrievedContext] = {}
-    for retrieved_id, query_id in query_of.items():
-        query_doc = by_id[query_id].doc_id
-        out[retrieved_id] = RetrievedContext(
-            doc_id=query_doc,
-            text=documents[query_doc].text,
-            key_spans=doc_key_spans.get(query_doc, {}),
-        )
-    return out
-
-
 def stage_generate(
     config: PipelineConfig,
     selected,
     sentences: list[Sentence],
     mentions: dict[int, list[EntityMention]],
     documents: dict[str, Document],
-    query_of: dict[int, int],
+    query_of: dict[int, int] | None,
 ):
     priors = (
         WhPriors.from_file(config.priors_path) if config.priors_path else WhPriors.default()
     )
-    retrieved_context = build_retrieved_context(sentences, mentions, documents, query_of)
     return qgen_mod.assemble_dataset(
         selected,
         sentences,
@@ -595,7 +553,7 @@ def stage_generate(
         lambda_weight=config.lambda_weight,
         seed=config.seed,
         order=config.template_order,
-        retrieved_context=retrieved_context,
+        query_of=query_of,
         dataset_id=config.dataset_id,
     )
 
@@ -629,20 +587,28 @@ def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
 
 
 def _read_retrieved(state: PipelineState, path: str) -> dict[int, int] | None:
-    """retrieved.jsonl, if there is one: each line pairs a retrieved sentence
-    of sentences.jsonl with the corpus sentence whose query fetched it."""
-    if not os.path.exists(path):
-        return None
+    """retrieved.jsonl: one line per retrieved sentence of sentences.jsonl, in
+    id order, pairing it with the corpus sentence whose query fetched it. It
+    is missing only after a graph built without retrieval, so with none."""
     origin = {s.sentence_id: s.origin for s in state.sentences}
+    retrieved = [sid for sid, o in origin.items() if o == corpus_mod.ORIGIN_RETRIEVED]
+    if not os.path.exists(path):
+        if retrieved:
+            raise ValidationError(f"{path}: missing, but sentences.jsonl holds retrieved sentences")
+        return None
+    expected = iter(retrieved)
     fields = {
         "sentence_id": Field(
-            int, lambda v, r: origin.get(v) == corpus_mod.ORIGIN_RETRIEVED, "a retrieved id"
+            int, lambda v, r: v == next(expected, None), "the next retrieved id of sentences.jsonl"
         ),
         "query_sentence_id": Field(
             int, lambda v, r: origin.get(v) == corpus_mod.ORIGIN_CORPUS, "a corpus sentence id"
         ),
     }
-    return {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path, fields)}
+    query_of = {r["sentence_id"]: r["query_sentence_id"] for r in read_jsonl(path, fields)}
+    if len(query_of) < len(retrieved):
+        raise ValidationError(f"{path}: {len(query_of)} lines, {len(retrieved)} retrieved sentences")
+    return query_of
 
 
 # graph.stats() as written; a file written for `select` alone holds no edges
@@ -780,7 +746,7 @@ def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineSta
         state.sentences,
         state.mentions,
         {d.doc_id: d for d in state.documents},
-        state.query_of or {},
+        state.query_of,
     )
     state.stats = PipelineStats(
         nodes=graph_stats["nodes"],

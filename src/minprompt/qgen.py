@@ -5,6 +5,8 @@ wh template (an interrogative bigram, then the fragment after the answer,
 then the fragment before it, then "?"). Each QA pair is rendered into an
 (input, target) string pair: the input masks the answer slot and the
 chosen entity occurrence inside the context; the target restores both.
+The context is the sentence's document; a retrieved sentence's is the
+document of the query sentence that fetched it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import Document, Sentence
+from .corpus import ORIGIN_CORPUS, ORIGIN_RETRIEVED, Document, Sentence
 from .entities import ENTITY_TYPES, EntityMention, wh_family
 from .errors import ValidationError
 from .fileio import read_json, write_jsonl
@@ -264,7 +266,7 @@ def format_prompt(
     prompt_input = f"Question: {qa.question} Answer: {mask_token} Context: {masked_context}"
     target = f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}"
     if provenance is None:
-        provenance = Provenance("", "", qa.source_sentence_id, "corpus")
+        provenance = Provenance("", "", qa.source_sentence_id, ORIGIN_CORPUS)
     return AugmentedSample(
         input=prompt_input,
         target=target,
@@ -274,15 +276,11 @@ def format_prompt(
     )
 
 
-@dataclass(frozen=True)
-class RetrievedContext:
-    """Training context for a sentence that came from the support corpus:
-    the document of the query sentence that retrieved it."""
-
-    doc_id: str
-    text: str
-    # First occurrence of each entity key inside the context, byte offsets.
-    key_spans: dict[str, tuple[int, int]]
+def _span_in_document(sentence: Sentence, mention: EntityMention) -> tuple[int, int]:
+    return (
+        sentence.char_span[0] + mention.char_span[0],
+        sentence.char_span[0] + mention.char_span[1],
+    )
 
 
 def assemble_dataset(
@@ -296,10 +294,15 @@ def assemble_dataset(
     lambda_weight: float = 1.0,
     seed: int = 0,
     order: str = ORDER_WH_B_A,
-    retrieved_context: dict[int, RetrievedContext] | None = None,
+    query_of: dict[int, int] | None = None,
     dataset_id: str = "",
 ) -> list[AugmentedSample]:
     """One sample per (selected sentence, mention, style), deduplicated.
+
+    In the context, a corpus sentence's answer is its own mention. A
+    retrieved sentence's is its key's first mention in the document of its
+    query sentence (`query_of`: retrieved id -> query id); a retrieved
+    sentence with no query is skipped.
 
     Output order is deterministic: sentence id, then mention offset, then
     style order as configured. Samples whose QA pair breaks a template
@@ -308,31 +311,31 @@ def assemble_dataset(
     for style in styles:
         if style not in STYLES:
             raise ValidationError(f"unknown question style {style!r}")
-    retrieved_context = retrieved_context or {}
+    query_of = query_of or {}
     by_id = {s.sentence_id: s for s in sentences}
+    # (doc_id, entity key) -> byte span of the key's first mention in the
+    # document; only retrieved sentences read it
+    first_span: dict[tuple[str, str], tuple[int, int]] = {}
+    for s in sentences:
+        if query_of and s.origin == ORIGIN_CORPUS:
+            for m in mentions.get(s.sentence_id, ()):
+                first_span.setdefault((s.doc_id, m.normalized_key), _span_in_document(s, m))
     samples: list[AugmentedSample] = []
     seen: set[tuple[str, str]] = set()
     for sid in sorted(selected):
         sentence = by_id[sid]
         sentence_mentions = sorted(mentions.get(sid, ()), key=lambda m: m.char_span)
-        if sentence.origin == "retrieved":
-            info = retrieved_context.get(sid)
-            if info is None:
-                log.info("skipping retrieved sentence %d: no paired context", sid)
-                continue
-            context = info.text
-            context_doc = info.doc_id
-        else:
-            context = documents[sentence.doc_id].text
-            context_doc = sentence.doc_id
+        retrieved = sentence.origin == ORIGIN_RETRIEVED
+        if retrieved and sid not in query_of:
+            log.info("skipping retrieved sentence %d: no paired context", sid)
+            continue
+        context_doc = by_id[query_of[sid]].doc_id if retrieved else sentence.doc_id
+        context = documents[context_doc].text
         for mention in sentence_mentions:
-            if sentence.origin == "retrieved":
-                span = retrieved_context[sid].key_spans.get(mention.normalized_key)
+            if retrieved:
+                span = first_span.get((context_doc, mention.normalized_key))
             else:
-                span = (
-                    sentence.char_span[0] + mention.char_span[0],
-                    sentence.char_span[0] + mention.char_span[1],
-                )
+                span = _span_in_document(sentence, mention)
             mention_seed = derive_seed(seed, sid, mention.char_span[0])
             for style in styles:
                 if style == STYLE_CLOZE:

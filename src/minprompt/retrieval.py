@@ -180,7 +180,6 @@ def retrieve_support_sentence(
     """
     if ranking is None:
         ranking = rank(index, tokenize(query_sentence.text), limit=top_k)
-    shared_pool = frozenset(query_keys) | frozenset(context_entities)
     for sid, _score in ranking[:top_k]:
         candidate = index.sentences[sid]
         keys = index.keys[sid]
@@ -188,7 +187,9 @@ def retrieve_support_sentence(
             continue
         if constraints.exclude_source_context and candidate.doc_id == query_sentence.doc_id:
             continue
-        extra = (keys & shared_pool) - {answer.normalized_key}
+        # an intersection walks the smaller set: the candidate's keys, not
+        # the whole document's
+        extra = ((keys & query_keys) | (keys & context_entities)) - {answer.normalized_key}
         if len(extra) < constraints.min_extra_shared_entities:
             continue
         if candidate.text == query_sentence.text:

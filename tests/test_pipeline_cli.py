@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 from dataclasses import fields
 from unittest import mock
@@ -11,11 +12,12 @@ from unittest import mock
 import pytest
 
 import oracles
-from conftest import FIXTURE_DIR, RecognizerHandler
+from conftest import FIXTURE_DIR, RecognizerHandler, mention_at
 from minprompt import entities as entities_mod
 from minprompt import pipeline as pipeline_mod
 from minprompt import retrieval as retrieval_mod
 from minprompt.cli import _build_parser, _load_config, main
+from minprompt.corpus import Sentence
 from minprompt.errors import ValidationError
 from minprompt.pipeline import (
     PipelineConfig,
@@ -505,6 +507,39 @@ class TestRunPipeline:
         if top_k > 1:  # the top candidate never qualifies on the fixture
             assert got[2], "the fixture should retrieve support sentences"
 
+    def test_stage_retrieve_is_linear_in_document_length(self, tmp_path):
+        # one document whose sentences each bring two new keys, against a
+        # fixed 200-sentence support corpus: copying the document's key set
+        # per sentence or per mention would make 4x the sentences take 16x the time
+        for k in range(20):
+            texts = (f"The Home Park hosted Alpha{j} and Gamma{j}." for j in range(k, 200, 20))
+            (tmp_path / f"support{k:02d}.txt").write_text(" ".join(texts), encoding="utf-8")
+        config = PipelineConfig(
+            input_paths=(str(tmp_path),), retrieval_enabled=True, support_paths=(str(tmp_path),)
+        )
+        recognizer = config.recognizer_config()
+
+        def long_document(n):
+            sentences, mentions, start = [], {}, 0
+            for i in range(n):
+                text = f"The Home Park hosted Alpha{i} and Beta{i} today."
+                sentences.append(Sentence(i, "long", (start, start + len(text)), text))
+                surfaces = ("Home Park", f"Alpha{i}", f"Beta{i}")
+                mentions[i] = [mention_at(text, surface, "MISC") for surface in surfaces]
+                start += len(text) + 1
+            return sentences, mentions
+
+        documents = [long_document(n) for n in (1000, 4000)]
+        best = [float("inf")] * 2
+        for _ in range(3):
+            for i, (sentences, mentions) in enumerate(documents):
+                begin = time.perf_counter()
+                *_, query_of = pipeline_mod.stage_retrieve(config, sentences, mentions, recognizer)
+                best[i] = min(best[i], time.perf_counter() - begin)
+        assert len(query_of) == 200  # every support sentence is retrieved once
+        # linear: 4x the sentences take well under the 16x of a quadratic pass
+        assert best[1] / best[0] < 8, f"times={best}"
+
 
 class TestStatsTable:
     def test_row_labels(self):
@@ -738,27 +773,34 @@ class TestCli:
         assert not (tmp_path / "out" / "samples.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("query_sentence_id", 9999), ("sentence_id", 9999), ("query_sentence_id", "retrieved"),
-         ("sentence_id", "query")],
-        ids=["query_unknown", "retrieved_unknown", "query_is_retrieved", "retrieved_is_corpus"],
+        "edit",
+        [
+            lambda recs: [{**recs[0], "query_sentence_id": 9999}, *recs[1:]],
+            lambda recs: [{**recs[0], "sentence_id": 9999}, *recs[1:]],
+            # the id of the other field: one of the wrong origin
+            lambda recs: [{**recs[0], "query_sentence_id": recs[0]["sentence_id"]}, *recs[1:]],
+            lambda recs: [{**recs[0], "sentence_id": recs[0]["query_sentence_id"]}, *recs[1:]],
+            # a retrieved sentence left unpaired, paired twice, or no file at all
+            lambda recs: recs[:-1],
+            lambda recs: [recs[0], {**recs[0], "query_sentence_id": recs[1]["query_sentence_id"]},
+                          *recs[1:]],
+            lambda recs: None,
+        ],
+        ids=["query_unknown", "retrieved_unknown", "query_is_retrieved", "retrieved_is_corpus",
+             "line_dropped", "line_repeated_with_another_query", "file_missing"],
     )
     def test_generate_rejects_a_retrieved_id_naming_no_such_sentence(
-        self, tmp_path, capsys, field, value
+        self, tmp_path, capsys, edit
     ):
         staged_cfg = write_fixture_config(tmp_path, **RETRIEVAL)
         for stage in ("ingest", "graph", "select"):
             assert main([stage, "--config", staged_cfg]) == 0, stage
         path = tmp_path / "out" / "retrieved.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        first = json.loads(lines[0])
-        # a string names the id of the other field: one of the wrong origin
-        if value == "retrieved":
-            value = first["sentence_id"]
-        elif value == "query":
-            value = first["query_sentence_id"]
-        lines[0] = json.dumps({**first, field: value})
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = edit([json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()])
+        if records is None:
+            path.unlink()
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         capsys.readouterr()
         assert main(["generate", "--config", staged_cfg]) == 1
         assert capsys.readouterr().err.startswith(

@@ -14,7 +14,6 @@ from minprompt.entities import EntityMention, normalize_key
 from minprompt.errors import ValidationError
 from minprompt.qgen import (
     CLOZE_MASK,
-    RetrievedContext,
     WhPriors,
     assemble_dataset,
     derive_seed,
@@ -344,33 +343,47 @@ class TestAssembleDataset:
         assert first == second
 
     def test_retrieved_sentence_uses_query_context(self):
-        documents, sentences, mentions = simple_corpus()
-        retrieved = Sentence(3, "support_doc", (0, 34), "Los Angeles welcomed Lakers crowds.", "retrieved")
-        sentences = sentences + [retrieved]
-        mentions = dict(mentions)
-        mentions[3] = [
-            mention_at(retrieved.text, "Los Angeles", "GPE"),
-            mention_at(retrieved.text, "Lakers", "ORG"),
-        ]
-        context = RetrievedContext(
-            doc_id="doc_a",
-            text=documents["doc_a"].text,
-            key_spans={"los angeles": (20, 31), "lakers": (4, 10)},
-        )
+        # "Lakers" first appears in doc_a as text the recognizer left out; the
+        # masked span is the key's first mention, at offset 25
+        doc = "Lakers fans cheered. The Lakers moved to Los Angeles in 1960."
+        documents = {"doc_a": Document("doc_a", "ds", doc)}
+        query = Sentence(1, "doc_a", (21, 61), doc[21:], "corpus")
+        retrieved = make_sentence(2, "Los Angeles welcomed Lakers crowds.", "support", "retrieved")
+        sentences = [Sentence(0, "doc_a", (0, 20), doc[:20], "corpus"), query, retrieved]
+        mentions = {
+            0: [],
+            1: [mention_at(query.text, name, "ORG") for name in ("Lakers", "Los Angeles")],
+            2: [mention_at(retrieved.text, name, "ORG") for name in ("Los Angeles", "Lakers")],
+        }
         samples = assemble_dataset(
-            [3],
-            sentences,
-            mentions,
-            documents,
-            WhPriors.default(),
-            styles=("cloze",),
-            retrieved_context={3: context},
+            [2], sentences, mentions, documents, WhPriors.default(), styles=("cloze",),
+            query_of={2: 1},
         )
-        assert len(samples) == 2
-        for sample in samples:
-            assert sample.qa.context == documents["doc_a"].text
+        assert [s.qa.answer for s in samples] == ["Los Angeles", "Lakers"]
+        for sample, (start, end) in zip(samples, [(41, 52), (25, 31)]):
+            assert sample.qa.context_answer_span == (start, end)
+            assert sample.input.endswith(f"Context: {doc[:start]}<mask>{doc[end:]}")
+            assert sample.qa.context == doc
             assert sample.provenance.doc_id == "doc_a"
             assert sample.provenance.origin == "retrieved"
+
+    def test_retrieved_answer_spelled_otherwise_in_the_query_document_skipped(self, caplog):
+        # the key's first mention in the context reads "Lakers", not the
+        # answer "LAKERS", and no other occurrence is found
+        documents, sentences, mentions = simple_corpus()
+        retrieved = make_sentence(3, "LAKERS fans filled Los Angeles.", "support", "retrieved")
+        mentions = {
+            **mentions,
+            3: [mention_at(retrieved.text, name, "ORG") for name in ("LAKERS", "Los Angeles")],
+        }
+        with caplog.at_level("INFO", logger="minprompt.qgen"):
+            samples = assemble_dataset(
+                [3], sentences + [retrieved], mentions, documents, WhPriors.default(),
+                styles=("cloze",), query_of={3: 0},
+            )
+        assert [s.qa.answer for s in samples] == ["Los Angeles"]
+        assert samples[0].qa.context_answer_span == (20, 31)
+        assert any("'LAKERS' not found in context" in r.getMessage() for r in caplog.records)
 
     def test_retrieved_sentence_without_context_skipped(self, caplog):
         documents, sentences, mentions = simple_corpus()
