@@ -9,18 +9,9 @@ the pointer reaches it and is sorted once for the smallest-id tie break.
 When the pointer reaches 0 every uncovered node covers only itself, so
 they are all selected in one step.
 
-Residuals are read, not stored, from the counts the degree pass leaves on
-the graph (see sentgraph). A short row v has the formula of its degree on
-the uncovered nodes: the sum over the nonempty subsets S of its keys of
-(-1)**(|S| + 1) N_U(S), minus 1, plus L(v), where N_U(S) counts the
-uncovered short rows holding S and L(v) the uncovered long rows in v's
-closed neighborhood. Covering a short row subtracts 1 from its own
-subset counts, at most 2**5 - 1 of them; covering a long row subtracts 1
-from L over its closed neighborhood with one call of the graph's kernel,
-once per long row per run. A long row's residual is counted from its key
-rows: the uncovered members of its longest key (N_U of the key plus the
-key's uncovered long rows), plus the uncovered members of its other keys
-that are not in the longest.
+Residuals are read, not stored, by sentgraph's `Residuals` (its module
+docstring states the formula) from copies of the degree pass's counts,
+out of which each pick counts the nodes it newly covers.
 
 When the pointer reaches a bucket, one gather reads the residuals of all
 its uncovered nodes. The nodes below the level are re-pushed together into
@@ -37,94 +28,23 @@ length) plus one kernel chunk.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .fileio import COUNT, Field
-from .sentgraph import _SUBSET_SIGNS, SentenceGraph, _ranges, _run_starts
+from .sentgraph import Residuals, SentenceGraph, _run_starts
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
 DEGREE_MODES = (DEGREE_RESIDUAL, DEGREE_STATIC)
-
-_SIGNS = tuple(_SUBSET_SIGNS.tolist())
 
 
 @dataclass(frozen=True)
 class DominatingSetResult:
     selected: tuple[int, ...]  # ascending
     max_degree: int
-
-
-class _Residuals:
-    """The residual degree of each uncovered node, read on demand from
-    counts that a covered node updates (see the module docstring)."""
-
-    def __init__(self, graph: SentenceGraph, covered: np.ndarray):
-        self.graph = graph
-        self.covered = covered
-        # N_U(S): the uncovered short rows that hold the key subset S
-        self.counts = graph.subset_counts.copy()
-        self._one = self.counts.dtype.type(1)
-        # the uncovered long rows in each node's closed neighborhood, and
-        # holding each key
-        self.long_hits = graph.long_hits.copy() if graph.long_rows.size else graph.long_hits
-        self.long_members = np.bincount(
-            graph._keys_of(graph.long_rows), minlength=len(graph.keys)
-        )
-        # single values are read through memoryviews, several times
-        # cheaper than indexing the numpy arrays
-        self._count_of = memoryview(self.counts).__getitem__
-        self._long_hits_of = memoryview(self.long_hits)
-        self._at = memoryview(graph.subset_indptr)
-        self._ids = memoryview(graph.subset_ids)
-
-    def of_nodes(self, nodes: np.ndarray) -> np.ndarray:
-        """The residuals of distinct uncovered nodes, each with a key."""
-        starts = self.graph.subset_indptr[nodes]
-        # a row with a key and no subsets is long
-        short = self.graph.subset_indptr[nodes + 1] > starts
-        if short.all():
-            return self._short(nodes)
-        residuals = np.empty(nodes.size, dtype=np.int64)
-        residuals[short] = self._short(nodes[short])
-        residuals[~short] = self._long(nodes[~short])
-        return residuals
-
-    def of(self, v: int) -> int:
-        """The residual of one uncovered node with a key."""
-        a, b = self._at[v], self._at[v + 1]
-        if a == b:
-            return int(self._long(np.array([v]))[0])
-        terms = map(self._count_of, self._ids[a:b])
-        return sum(map(operator.mul, _SIGNS, terms)) - 1 + self._long_hits_of[v]
-
-    def _short(self, rows: np.ndarray) -> np.ndarray:
-        # inclusion-exclusion over the uncovered short rows, plus the
-        # uncovered long rows
-        return self.graph._subset_sums(rows, self.counts) - 1 + self.long_hits[rows]
-
-    def _long(self, rows: np.ndarray) -> np.ndarray:
-        # the hub's uncovered members, plus the uncovered members of the
-        # other keys outside the hub
-        hub, outside = self.graph._count_outside_hubs(rows, self.covered)
-        return self.counts[hub] + self.long_members[hub] + outside - 1
-
-    def cover(self, newly: np.ndarray) -> None:
-        """Count out the nodes just covered; each shares a key with the pick."""
-        graph = self.graph
-        starts = graph.subset_indptr[newly]
-        widths = graph.subset_indptr[newly + 1] - starts
-        # a scalar of the counts' own type keeps ufunc.at on its fast path
-        np.subtract.at(self.counts, graph.subset_ids[_ranges(starts, widths)], self._one)
-        if graph.long_rows.size:
-            long = newly[widths == 0]
-            if long.size:
-                np.subtract.at(self.long_members, graph._keys_of(long), 1)
-                graph._add_neighbor_hits(long, self.long_hits, -1)
 
 
 def approx_dominating_set(
@@ -141,7 +61,7 @@ def approx_dominating_set(
     n = graph.node_count
     covered = np.zeros(n, dtype=bool)
     is_covered = memoryview(covered)
-    residuals = _Residuals(graph, covered) if degree_mode == DEGREE_RESIDUAL else None
+    residuals = Residuals(graph, covered) if degree_mode == DEGREE_RESIDUAL else None
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
     by_degree = np.argsort(graph.cached_degrees, kind="stable")

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import http.client
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import Sentence
@@ -410,6 +406,12 @@ def recognize_service(
     before the whole pipeline is failed; a 4xx reply fails it at once. A
     reply may only name sentences of its own batch.
     """
+    # imported here: only this recognizer needs them, and they are slow to load
+    import http.client
+    import urllib.error
+    import urllib.request
+    from concurrent.futures import ThreadPoolExecutor
+
     batches = [
         sentences[i : i + batch_size] for i in range(0, len(sentences), batch_size)
     ]

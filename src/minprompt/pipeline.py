@@ -481,7 +481,6 @@ def stage_retrieve(
         sentence_mentions = mentions.get(sentence.sentence_id, ())
         if not sentence_mentions:
             continue
-        query_keys = frozenset(m.normalized_key for m in sentence_mentions)
         # the ranking depends on the sentence only, so every mention shares it
         ranking = retrieval_mod.rank(
             index, retrieval_mod.tokenize(sentence.text), limit=config.retrieval_top_k
@@ -493,7 +492,6 @@ def stage_retrieve(
                 mention,
                 context_entities=doc_entities[sentence.doc_id],
                 constraints=constraints,
-                query_keys=query_keys,
                 top_k=config.retrieval_top_k,
                 ranking=ranking,
             )

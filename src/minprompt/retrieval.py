@@ -166,7 +166,6 @@ def retrieve_support_sentence(
     answer: EntityMention,
     context_entities: frozenset[str] | set[str],
     constraints: RetrievalConstraints = RetrievalConstraints(),
-    query_keys: frozenset[str] | set[str] = frozenset(),
     top_k: int = 50,
     ranking: list[tuple[int, float]] | None = None,
 ) -> Sentence | None:
@@ -189,7 +188,7 @@ def retrieve_support_sentence(
             continue
         # an intersection walks the smaller set: the candidate's keys, not
         # the whole document's
-        extra = ((keys & query_keys) | (keys & context_entities)) - {answer.normalized_key}
+        extra = (keys & context_entities) - {answer.normalized_key}
         if len(extra) < constraints.min_extra_shared_entities:
             continue
         if candidate.text == query_sentence.text:

@@ -25,30 +25,40 @@ costs O(1) even inside a megaclique, and a hub member pays only for its
 other keys. No edge list is ever materialized: memory stays O(V + total
 posting length) plus one chunk.
 
-Degrees are counted, not expanded. A node v whose key row K(v) has at
-most `_IE_ROW` keys (a short row) gets its degree by inclusion-exclusion
-over the short rows only: the sum over the nonempty subsets S of K(v) of
-(-1)**(|S| + 1) N(S), minus 1, where N(S) is the number of short rows
-that hold all of S. The pass keeps the terms as a node-major table for
-the greedy's residuals: short row v's subsets have the ids
-``subset_ids[subset_indptr[v] + j]``, the subset whose bit mask over v's
-keys is j + 1 at position j, and ``subset_counts`` holds each id's N. A
-single key's id is its key id and its N its member count minus its
-long-row members; the larger subsets are numbered level by level after
-the ids of the level before, one sort per level. An s-subset's code is
-the rank of its first s - 1 keys among the level before times K plus its
-last key, so the codes stay below (distinct subsets of the level before)
-* K; the build refuses a graph whose codes would pass 2**63 - 1. The long
-rows are the kernel's owners with step 1: each adds itself to
-``long_hits`` of every node of its closed neighborhood, which counts it
-into its short-row neighbors' degrees, and its own degree is its
-closed-neighborhood size minus 1. Memory is O(V + total posting length)
+A node's degree is its residual before the first pick. `Residuals`
+counts, for the greedy (see domset), the neighbors of an uncovered node
+among the uncovered nodes U; the degree pass reads it with U every node.
+A node v whose key row K(v) has at most `_IE_ROW` keys (a short row)
+gets it by inclusion-exclusion: the sum over the nonempty subsets S of
+K(v) of (-1)**(|S| + 1) N_U(S), minus 1, plus L_U(v), where N_U(S) is
+the number of uncovered short rows that hold all of S and L_U(v) the
+number of uncovered long rows in v's closed neighborhood. A long row's
+residual is counted from its key rows: the uncovered members of its
+longest key (N_U of the key plus the key's uncovered long rows), plus
+the uncovered members of its other keys that are not in the longest.
+Covering a short row subtracts 1 from its own subset counts, at most
+2**_IE_ROW - 1 of them; covering a long row subtracts 1 from L over its
+closed neighborhood with one kernel call and from its keys' long rows.
+
+The degree pass builds these counts with nothing covered. Short row v's
+subsets have the ids ``subset_ids[subset_indptr[v] + j]``, the subset
+whose bit mask over v's keys is j + 1 at position j, and
+``subset_counts`` holds each id's N. A single key's id is its key id and
+its N its member count minus ``long_members``, its long-row members; the
+larger subsets are numbered level by level after the ids of the level
+before, one sort per level. An s-subset's code is the rank of its first
+s - 1 keys among the level before times K plus its last key, so the
+codes stay below (distinct subsets of the level before) * K; the build
+refuses a graph whose codes would pass 2**63 - 1. The long rows are the
+kernel's owners with step 1: each adds itself to ``long_hits`` of every
+node of its closed neighborhood. Memory is O(V + total posting length)
 times the subsets of a short row per key.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -59,7 +69,7 @@ import numpy as np
 from .corpus import Sentence
 from .entities import EntityMention
 from .errors import ValidationError
-from .fileio import Field, distinct, iter_jsonl, write_jsonl
+from .fileio import Field, check_record, distinct, iter_jsonl, write_jsonl
 
 SCOPE_CORPUS = "corpus"
 SCOPE_DOCUMENT = "document"
@@ -88,6 +98,7 @@ _SUBSET_WIDTHS = np.array([(1 << r) - 1 for r in range(_IE_ROW + 1)] + [0], dtyp
 _SUBSET_SIGNS = np.array(
     [1 if (j + 1).bit_count() % 2 else -1 for j in range(2**_IE_ROW - 1)], dtype=np.int64
 )
+_SIGNS = tuple(_SUBSET_SIGNS.tolist())
 
 
 @dataclass(frozen=True)
@@ -185,11 +196,11 @@ class SentenceGraph:
 
     keys holds the sorted key names; key k has id k. postings maps each
     key to its sorted, duplicate-free member ids; cached_degrees[v] counts
-    distinct neighbors of v. The degree pass also leaves what the greedy's
-    residuals start from (see the module docstring): long_rows, the nodes
-    of more than _IE_ROW keys; long_hits[v], the long rows in v's closed
-    neighborhood; and the short rows' subset table, subset_indptr,
-    subset_ids and subset_counts.
+    distinct neighbors of v. The degree pass also leaves what `Residuals`
+    starts from (see the module docstring): long_rows, the nodes of more
+    than _IE_ROW keys; long_hits[v], the long rows in v's closed
+    neighborhood; long_members[k], the long rows holding key k; and the
+    short rows' subset table, subset_indptr, subset_ids and subset_counts.
     """
 
     def __init__(
@@ -211,8 +222,8 @@ class SentenceGraph:
             array.flags.writeable = False
         self.postings = Postings(keys, key_indptr, key_members)
         self.cached_degrees = self._degrees()
-        for array in (self.long_hits, self.subset_indptr, self.subset_ids, self.subset_counts):
-            array.flags.writeable = False
+        for name in ("long_hits", "long_members", "subset_indptr", "subset_ids", "subset_counts"):
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_postings(cls, node_count: int, postings: dict[str, list[int] | np.ndarray]):
@@ -249,34 +260,18 @@ class SentenceGraph:
         rest = keys != hub[owner]
         return hub, owner[rest], keys[rest], lengths[rest]
 
-    def _add_neighbor_hits(self, owners: np.ndarray, out: np.ndarray, step: int) -> np.ndarray:
+    def _add_neighbor_hits(self, owners: np.ndarray, out: np.ndarray, step: int) -> None:
         """The kernel: add `step` to out[w] once for each of the distinct
-        `owners` whose closed neighborhood holds w, and return the size of
-        each owner's closed neighborhood (see the module docstring). An
-        owner with no key has an empty neighborhood."""
+        `owners` whose closed neighborhood holds w (see the module
+        docstring). An owner with no key has an empty neighborhood."""
         hub, owner, keys, lengths = self._split_hubs(owners)
-        have = np.flatnonzero(hub >= 0)
-        sizes = np.zeros(owners.size, dtype=np.int64)
-        sizes[have] = self.key_indptr[hub[have] + 1] - self.key_indptr[hub[have]]
-        hubs = np.sort(hub[have])
+        hubs = np.sort(hub[hub >= 0])
         starts = np.flatnonzero(_run_starts(hubs))
         members, hub_lengths = self._members_of(hubs[starts])
         shared = np.diff(np.append(starts, hubs.size))
         np.add.at(out, members, np.repeat(shared * step, hub_lengths))
-        for i, w in self._chunks(owner, keys, lengths, hub):
-            _add_counts(sizes, i)
+        for _, w in self._chunks(owner, keys, lengths, hub):
             np.add.at(out, w, step)
-        return sizes
-
-    def _count_outside_hubs(self, owners: np.ndarray, skip: np.ndarray):
-        """Each owner's hub (see `_split_hubs`) and the number of distinct
-        members of its other keys that are neither in the hub nor set in
-        the boolean node mask `skip`."""
-        hub, owner, keys, lengths = self._split_hubs(owners)
-        counts = np.zeros(owners.size, dtype=np.int64)
-        for i, w in self._chunks(owner, keys, lengths, hub):
-            _add_counts(counts, i[~skip[w]])
-        return hub, counts
 
     def _chunks(self, owner: np.ndarray, keys: np.ndarray, lengths: np.ndarray, hub: np.ndarray):
         """(i, w) array pairs, sorted by i then w: each distinct member w of
@@ -318,26 +313,28 @@ class SentenceGraph:
         return found
 
     def _degrees(self) -> np.ndarray:
-        """The degree pass: each node's count of distinct neighbors (see the
-        module docstring). It also sets the tables the greedy's residuals
-        start from: `long_rows`, `long_hits` and the subset table."""
+        """The degree pass: each node's count of distinct neighbors, read as
+        its residual with nothing covered (see the module docstring). It
+        first sets the counts `Residuals` starts from: `long_rows`,
+        `long_members`, the subset table and `long_hits`."""
         self.long_rows = np.flatnonzero(np.diff(self.node_indptr) > _IE_ROW)
-        degrees = np.zeros(self.node_count, dtype=np.int64)
-        self._subset_table(degrees)
+        self._subset_table()
         # each long row adds 1 to every node of its closed neighborhood;
-        # blocks of owners keep the kernel's per-(owner, key) arrays small
+        # blocks of owners, and of read nodes below, keep the per-(owner,
+        # key) and per-subset arrays small
         self.long_hits = np.zeros(self.node_count, dtype=np.int64)
-        sizes = np.empty(self.long_rows.size, dtype=np.int64)
         for lo in range(0, self.long_rows.size, _CHUNK_CODES):
-            owners = self.long_rows[lo : lo + _CHUNK_CODES]
-            sizes[lo : lo + owners.size] = self._add_neighbor_hits(owners, self.long_hits, 1)
-        degrees += self.long_hits
-        degrees[self.long_rows] = sizes - 1
+            self._add_neighbor_hits(self.long_rows[lo : lo + _CHUNK_CODES], self.long_hits, 1)
+        residuals = Residuals(self, np.zeros(self.node_count, dtype=bool))
+        keyed = np.flatnonzero(np.diff(self.node_indptr))
+        degrees = np.zeros(self.node_count, dtype=np.int64)
+        for lo in range(0, keyed.size, _CHUNK_CODES):
+            nodes = keyed[lo : lo + _CHUNK_CODES]
+            degrees[nodes] = residuals.of_nodes(nodes)
         return degrees
 
-    def _subset_table(self, degrees: np.ndarray) -> None:
-        """Set the short rows' subset table and add each short row's
-        inclusion-exclusion sum, minus 1, to its entry of `degrees`.
+    def _subset_table(self) -> None:
+        """Set `long_members` and the short rows' subset table.
 
         The nonempty key subsets of short row v have the ids
         subset_ids[subset_indptr[v] + j], where j + 1 is the subset's bit
@@ -358,16 +355,12 @@ class SentenceGraph:
         by_length = [(r, np.flatnonzero(lengths == r)) for r in range(1, _IE_ROW + 1)]
         by_length = [(r, rows) for r, rows in by_length if rows.size]
         del lengths
+        self.long_members = np.bincount(self._keys_of(self.long_rows), minlength=key_count)
         # N({k}) is k's members minus the long rows that hold k
-        single = np.diff(self.key_indptr)
-        single -= np.bincount(self._keys_of(self.long_rows), minlength=key_count)
+        counts = [(np.diff(self.key_indptr) - self.long_members).astype(dtype)]
         for r, rows in by_length:
-            degrees[rows] -= 1
             for i in range(r):
-                keys = self.node_keys[self.node_indptr[rows] + i]
-                ids[indptr[rows] + (1 << i) - 1] = keys
-                degrees[rows] += single[keys]
-        counts = [single.astype(dtype)]
+                ids[indptr[rows] + (1 << i) - 1] = self.node_keys[self.node_indptr[rows] + i]
         first, bound = 0, key_count  # the ids of the level before
         for s in range(2, _IE_ROW + 1):
             layout = [
@@ -409,38 +402,15 @@ class SentenceGraph:
             counts.append(np.diff(copies, append=end).astype(dtype))
             distinct = copies.size
             del copies
-            ranks -= 1
-            sign = 1 if s % 2 else -1
+            ranks += first + bound - 1
             end = 0
             for rows, mask in layout:
-                level_ids = ranks[end : end + rows.size]
-                degrees[rows] += sign * counts[-1][level_ids]
-                ids[indptr[rows] + mask - 1] = level_ids + (first + bound)
+                ids[indptr[rows] + mask - 1] = ranks[end : end + rows.size]
                 end += rows.size
             first, bound = first + bound, distinct
             del ranks
         self.subset_indptr, self.subset_ids = indptr, ids
         self.subset_counts = np.concatenate(counts)
-
-    def _subset_sums(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """For each short row v of `rows`: the sum over the nonempty subsets
-        S of v's keys of (-1)**(|S| + 1) counts[id of S]. Whole rows are
-        summed in blocks of about `_CHUNK_CODES` terms."""
-        starts = self.subset_indptr[rows]
-        widths = self.subset_indptr[rows + 1] - starts
-        ends = np.cumsum(widths)
-        sums = np.empty(rows.size, dtype=np.int64)
-        lo = 0
-        while lo < rows.size:
-            base = int(ends[lo] - widths[lo])
-            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_CODES, side="right")))
-            width = widths[lo:hi]
-            first = ends[lo:hi] - width - base  # each row's first term
-            j = np.arange(int(ends[hi - 1]) - base) - np.repeat(first, width)  # position in the row
-            terms = counts[self.subset_ids[j + np.repeat(starts[lo:hi], width)]] * _SUBSET_SIGNS[j]
-            sums[lo:hi] = np.add.reduceat(terms, first)
-            lo = hi
-        return sums
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """Sorted ids of v plus every neighbor of v."""
@@ -472,6 +442,90 @@ class SentenceGraph:
             max_degree=self.max_degree(),
             isolated_nodes=int((self.cached_degrees == 0).sum()) if self.node_count else 0,
         )
+
+
+class Residuals:
+    """The residual degree of each uncovered node, read on demand from
+    counts that a covered node updates (see the module docstring)."""
+
+    def __init__(self, graph: SentenceGraph, covered: np.ndarray):
+        self.graph = graph
+        self.covered = covered
+        # N_U(S): the uncovered short rows that hold the key subset S
+        self.counts = graph.subset_counts.copy()
+        self._one = self.counts.dtype.type(1)
+        # the uncovered long rows in each node's closed neighborhood, and
+        # holding each key
+        self.long_hits = graph.long_hits.copy() if graph.long_rows.size else graph.long_hits
+        self.long_members = graph.long_members.copy()
+        # single values are read through memoryviews, several times
+        # cheaper than indexing the numpy arrays
+        self._count_of = memoryview(self.counts).__getitem__
+        self._long_hits_of = memoryview(self.long_hits)
+        self._at = memoryview(graph.subset_indptr)
+        self._ids = memoryview(graph.subset_ids)
+
+    def of_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """The residuals of distinct uncovered nodes, each with a key."""
+        starts = self.graph.subset_indptr[nodes]
+        # a row with a key and no subsets is long
+        short = self.graph.subset_indptr[nodes + 1] > starts
+        if short.all():
+            return self._short(nodes)
+        residuals = np.empty(nodes.size, dtype=np.int64)
+        residuals[short] = self._short(nodes[short])
+        residuals[~short] = self._long(nodes[~short])
+        return residuals
+
+    def of(self, v: int) -> int:
+        """The residual of one uncovered node with a key."""
+        a, b = self._at[v], self._at[v + 1]
+        if a == b:
+            return int(self._long(np.array([v]))[0])
+        terms = map(self._count_of, self._ids[a:b])
+        return sum(map(operator.mul, _SIGNS, terms)) - 1 + self._long_hits_of[v]
+
+    def _short(self, rows: np.ndarray) -> np.ndarray:
+        # inclusion-exclusion over the uncovered short rows, plus the
+        # uncovered long rows; whole rows are summed in blocks of about
+        # _CHUNK_CODES terms
+        starts = self.graph.subset_indptr[rows]
+        widths = self.graph.subset_indptr[rows + 1] - starts
+        ends = np.cumsum(widths)
+        sums = np.empty(rows.size, dtype=np.int64)
+        lo = 0
+        while lo < rows.size:
+            base = int(ends[lo] - widths[lo])
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK_CODES, side="right")))
+            width = widths[lo:hi]
+            first = ends[lo:hi] - width - base  # each row's first term
+            j = np.arange(int(ends[hi - 1]) - base) - np.repeat(first, width)  # position in the row
+            ids = self.graph.subset_ids[j + np.repeat(starts[lo:hi], width)]
+            sums[lo:hi] = np.add.reduceat(self.counts[ids] * _SUBSET_SIGNS[j], first)
+            lo = hi
+        return sums - 1 + self.long_hits[rows]
+
+    def _long(self, rows: np.ndarray) -> np.ndarray:
+        # the hub's uncovered members, plus the uncovered members of the
+        # other keys outside the hub
+        hub, owner, keys, lengths = self.graph._split_hubs(rows)
+        outside = np.zeros(rows.size, dtype=np.int64)
+        for i, w in self.graph._chunks(owner, keys, lengths, hub):
+            _add_counts(outside, i[~self.covered[w]])
+        return self.counts[hub] + self.long_members[hub] + outside - 1
+
+    def cover(self, newly: np.ndarray) -> None:
+        """Count out the nodes just covered; each shares a key with the pick."""
+        graph = self.graph
+        starts = graph.subset_indptr[newly]
+        widths = graph.subset_indptr[newly + 1] - starts
+        # a scalar of the counts' own type keeps ufunc.at on its fast path
+        np.subtract.at(self.counts, graph.subset_ids[_ranges(starts, widths)], self._one)
+        if graph.long_rows.size:
+            long = newly[widths == 0]
+            if long.size:
+                np.subtract.at(self.long_members, graph._keys_of(long), 1)
+                graph._add_neighbor_hits(long, self.long_hits, -1)
 
 
 def build_graph(
@@ -515,16 +569,20 @@ def write_postings_dump(graph: SentenceGraph, path: str) -> None:
 
 def read_postings_dump(path: str, node_count: int) -> SentenceGraph:
     """Rebuild a graph from a postings dump plus the node count; each line
-    is checked against the posting record, ids in 0..node_count-1."""
+    is checked against the posting record, and the build refuses ids
+    outside 0..node_count-1."""
+    ids = f"a list of ids below {node_count}"
     fields = {
         "entity": Field(str, distinct(), "a string no earlier line holds"),
-        "sentences": Field(
-            list,
-            lambda v, r: {int}.issuperset(map(type, v))
-            and (not v or 0 <= min(v) <= max(v) < node_count),
-            f"a list of ids below {node_count}",
-        ),
+        # the build range-checks all ids at once
+        "sentences": Field(list, lambda v, r: {int}.issuperset(map(type, v)), ids),
     }
-    # 8 bytes an id, not a Python int object
-    raw = {r["entity"]: array("q", r["sentences"]) for _, r in iter_jsonl(path, fields)}
+    raw = {}
+    for lineno, r in iter_jsonl(path, fields):
+        try:
+            # 8 bytes an id, not a Python int object
+            raw[r["entity"]] = array("q", r["sentences"])
+        except OverflowError:
+            # an id past int64 is past node_count too: fail the line
+            check_record(r, {"sentences": Field(list, lambda v, r: False, ids)}, f"{path}:{lineno}")
     return SentenceGraph.from_postings(node_count, raw)

@@ -310,7 +310,7 @@ def test_criterion_08_retrieval_constraints_and_ranking():
             query_keys = frozenset(m.normalized_key for m in mentions[query.sentence_id])
             for answer in mentions[query.sentence_id]:
                 hit = retrieve_support_sentence(
-                    index, query, answer, query_keys, constraints, query_keys
+                    index, query, answer, query_keys, constraints
                 )
                 if hit is None:
                     continue

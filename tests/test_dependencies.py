@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -60,3 +61,15 @@ def test_runtime_dependencies_are_numpy_only():
     with open(PYPROJECT, "rb") as handle:
         dependencies = tomllib.load(handle)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.\-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_cli_import_loads_no_http_modules():
+    # a fresh interpreter: the test session itself has loaded http.server;
+    # only the service recognizer needs HTTP, and it imports it when it runs
+    code = "import sys, minprompt.cli; print('http.client' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

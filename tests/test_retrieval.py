@@ -271,7 +271,7 @@ class TestRetrieve:
                     m.normalized_key for m in mentions[query.sentence_id]
                 )
                 hit = retrieve_support_sentence(
-                    index, query, answer, query_keys, constraints, query_keys
+                    index, query, answer, query_keys, constraints
                 )
                 if hit is None:
                     continue
