@@ -5,8 +5,9 @@ A JSON record is declared once, as a dict of key -> Field, next to the code
 that writes it; a reader given the declaration checks each record with
 `check_record`, and a bad one raises
 ValidationError("<path>:<line>: <key> must be ...; got <value>").
-Writers write a temporary file next to the target and rename it over the
-target, so a reader sees the previous file or the whole new one, never a
+Writers stream records one by one into a temporary file next to the target,
+so a write holds about one record, not the whole file, then rename it over
+the target: a reader sees the previous file or the whole new one, never a
 half-written one; a failed write leaves the previous file and no temporary.
 """
 
@@ -106,11 +107,12 @@ def read_json(path: str, fields: dict[str, Field] | None = None):
     return value if fields is None else check_record(value, fields, path)
 
 
-def write_text(text: str, path: str) -> None:
+def _write_chunks(chunks, path: str) -> None:
+    """The text `chunks`, in order, as the file at `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,10 +120,14 @@ def write_text(text: str, path: str) -> None:
         raise
 
 
+def write_text(text: str, path: str) -> None:
+    _write_chunks((text,), path)
+
+
 def write_jsonl(records, path: str) -> None:
     """One JSON value per '\\n'-ended line, non-ASCII text kept as is."""
     encode = _JSONL_ENCODER.encode
-    write_text("".join(encode(record) + "\n" for record in records), path)
+    _write_chunks((encode(record) + "\n" for record in records), path)
 
 
 def write_json(payload, path: str, indent: int | None = None) -> None:

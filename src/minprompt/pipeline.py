@@ -393,19 +393,20 @@ def read_sentences(path: str, documents: list[Document] | None = None) -> list[S
 
 
 def write_mentions(mentions: dict[int, list[EntityMention]], path: str) -> None:
-    records = []
-    for sid in sorted(mentions):
-        for m in mentions[sid]:
-            records.append(
-                {
-                    "sentence_id": sid,
-                    "start": m.char_span[0],
-                    "end": m.char_span[1],
-                    "surface": m.surface,
-                    "type": m.entity_type,
-                }
-            )
-    write_jsonl(records, path)
+    write_jsonl(
+        (
+            {
+                "sentence_id": sid,
+                "start": m.char_span[0],
+                "end": m.char_span[1],
+                "surface": m.surface,
+                "type": m.entity_type,
+            }
+            for sid in sorted(mentions)
+            for m in mentions[sid]
+        ),
+        path,
+    )
 
 
 def read_mentions(path: str, sentences: list[Sentence]) -> dict[int, list[EntityMention]]:
@@ -491,9 +492,8 @@ def stage_retrieve(
                 sentence,
                 mention,
                 context_entities=doc_entities[sentence.doc_id],
-                constraints=constraints,
-                top_k=config.retrieval_top_k,
                 ranking=ranking,
+                constraints=constraints,
             )
             if hit is None:
                 continue

@@ -301,8 +301,8 @@ def assemble_dataset(
 
     In the context, a corpus sentence's answer is its own mention. A
     retrieved sentence's is its key's first mention in the document of its
-    query sentence (`query_of`: retrieved id -> query id); a retrieved
-    sentence with no query is skipped.
+    query sentence (`query_of`: retrieved id -> query id, which pairs every
+    retrieved sentence).
 
     Output order is deterministic: sentence id, then mention offset, then
     style order as configured. Samples whose QA pair breaks a template
@@ -326,9 +326,6 @@ def assemble_dataset(
         sentence = by_id[sid]
         sentence_mentions = sorted(mentions.get(sid, ()), key=lambda m: m.char_span)
         retrieved = sentence.origin == ORIGIN_RETRIEVED
-        if retrieved and sid not in query_of:
-            log.info("skipping retrieved sentence %d: no paired context", sid)
-            continue
         context_doc = by_id[query_of[sid]].doc_id if retrieved else sentence.doc_id
         context = documents[context_doc].text
         for mention in sentence_mentions:

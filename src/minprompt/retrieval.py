@@ -165,21 +165,17 @@ def retrieve_support_sentence(
     query_sentence: Sentence,
     answer: EntityMention,
     context_entities: frozenset[str] | set[str],
+    ranking: list[tuple[int, float]],
     constraints: RetrievalConstraints = RetrievalConstraints(),
-    top_k: int = 50,
-    ranking: list[tuple[int, float]] | None = None,
 ) -> Sentence | None:
     """Best-ranked support sentence satisfying every enabled constraint.
 
-    Only the top_k ranked candidates are considered. `ranking` is
-    rank(index, tokenize(query_sentence.text), limit=top_k) when the caller
-    already has it: it depends on the query sentence only, not on the
-    answer. Returns None when no candidate qualifies; absence is a value,
-    not an error.
+    Only `ranking`'s candidates are considered, in order: the caller's
+    rank(index, tokenize(query_sentence.text), limit=top_k), which depends on
+    the query sentence only, so all of its answers share it. Returns None
+    when no candidate qualifies; absence is a value, not an error.
     """
-    if ranking is None:
-        ranking = rank(index, tokenize(query_sentence.text), limit=top_k)
-    for sid, _score in ranking[:top_k]:
+    for sid, _score in ranking:
         candidate = index.sentences[sid]
         keys = index.keys[sid]
         if constraints.require_answer_entity and answer.normalized_key not in keys:

@@ -28,7 +28,7 @@ from minprompt.entities import (
 )
 from minprompt.errors import ValidationError
 from minprompt.offsets import ByteOffsets
-from minprompt.retrieval import B, K1, tokenize
+from minprompt.retrieval import B, K1, rank, tokenize
 
 _BRUTE_FORCE_LIMIT = 25
 
@@ -343,6 +343,12 @@ def dict_rank(
         ]
         ordered.extend(tail)
     return ordered if limit is None else ordered[:limit]
+
+
+def query_ranking(index, query, top_k: int = 50) -> list[tuple[int, float]]:
+    """The ranking retrieve_support_sentence takes for `query`, as the
+    pipeline computes it once per query sentence."""
+    return rank(index, tokenize(query.text), limit=top_k)
 
 
 def scan_gazetteer_candidates(text: str, gazetteers):

@@ -308,9 +308,10 @@ def test_criterion_08_retrieval_constraints_and_ranking():
         hits = 0
         for query in sentences:
             query_keys = frozenset(m.normalized_key for m in mentions[query.sentence_id])
+            ranking = oracles.query_ranking(index, query)
             for answer in mentions[query.sentence_id]:
                 hit = retrieve_support_sentence(
-                    index, query, answer, query_keys, constraints
+                    index, query, answer, query_keys, ranking, constraints
                 )
                 if hit is None:
                     continue

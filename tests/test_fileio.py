@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,20 @@ class TestJsonLines:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: malformed JSON"):
             read_jsonl(str(path))
 
+    def test_write_holds_one_record_not_the_file(self, tmp_path):
+        records = [{"id": i, "text": "x" * 65536} for i in range(64)]
+        path = tmp_path / "big.jsonl"
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            write_jsonl(records, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4 * 2**20  # the file is 4 MiB and more
+        assert peak - base < 2**20, f"write_jsonl held {peak - base} bytes at its peak"
+        assert read_jsonl(str(path)) == records
+
     def test_comment_lines(self, tmp_path):
         path = tmp_path / "list.txt"
         path.write_text("# header\n alpha \n\n#beta\ngamma # not a comment\n", encoding="utf-8")
@@ -101,6 +116,22 @@ class TestAtomicWrites:
             write_jsonl(records(), str(path))
         assert path.read_bytes() == b'{"old": true}\n'
         assert os.listdir(tmp_path) == ["samples.jsonl"]
+
+    def test_failure_after_bytes_reached_the_temporary_keeps_the_old_file(self, tmp_path):
+        # about 1 MiB is past the text buffer, so part of it is on disk when
+        # the records fail
+        path = tmp_path / "samples.jsonl"
+        path.write_bytes(b'{"old": true}\n')
+
+        def records():
+            for i in range(16):
+                yield {"id": i, "text": "x" * 65536}
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError, match="generator failed"):
+            write_jsonl(records(), str(path))
+        assert path.read_bytes() == b'{"old": true}\n'
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_unwritable_record_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "stats.json"

@@ -489,17 +489,13 @@ class TestRunPipeline:
 
         original = retrieval_mod.retrieve_support_sentence
 
-        def per_mention(index, *args, ranking=None, **kwargs):
+        def per_mention(index, query, *args, ranking, **kwargs):
             # the reference ignores the shared ranking and ranks each mention
             # anew with the dict loop
-            with mock.patch.object(
-                retrieval_mod,
-                "rank",
-                lambda ix, query, limit=None: oracles.dict_rank(
-                    oracles.DictBm25Index.like(ix), query, limit
-                ),
-            ):
-                return original(index, *args, **kwargs)
+            ranking = oracles.dict_rank(
+                oracles.DictBm25Index.like(index), retrieval_mod.tokenize(query.text), top_k
+            )
+            return original(index, query, *args, ranking=ranking, **kwargs)
 
         with mock.patch.object(retrieval_mod, "retrieve_support_sentence", per_mention):
             expected = pipeline_mod.stage_retrieve(config, sentences, mentions, recognizer)

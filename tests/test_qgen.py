@@ -385,19 +385,6 @@ class TestAssembleDataset:
         assert samples[0].qa.context_answer_span == (20, 31)
         assert any("'LAKERS' not found in context" in r.getMessage() for r in caplog.records)
 
-    def test_retrieved_sentence_without_context_skipped(self, caplog):
-        documents, sentences, mentions = simple_corpus()
-        retrieved = Sentence(3, "support_doc", (0, 10), "Lakers win.", "retrieved")
-        with caplog.at_level("INFO", logger="minprompt.qgen"):
-            samples = assemble_dataset(
-                [3],
-                sentences + [retrieved],
-                {**mentions, 3: [mention_at("Lakers win.", "Lakers", "ORG")]},
-                documents,
-                WhPriors.default(),
-            )
-        assert samples == []
-
     def test_lambda_recorded(self):
         documents, sentences, mentions = simple_corpus()
         samples = assemble_dataset(

@@ -177,7 +177,7 @@ class TestRetrieve:
     def test_qualifying_candidate_returned(self):
         index, query, answer = support_fixture()
         hit = retrieve_support_sentence(
-            index, query, answer, context_entities={"lakers"}
+            index, query, answer, {"lakers"}, oracles.query_ranking(index, query)
         )
         assert hit is not None
         assert hit.text == "Los Angeles welcomed the Lakers in 1960."
@@ -189,7 +189,9 @@ class TestRetrieve:
         index = build_index(sentences, mentions)
         query = make_sentence(0, "The Lakers moved to Los Angeles.", doc_id="q")
         answer = mention_at(query.text, "Los Angeles", "GPE")
-        assert retrieve_support_sentence(index, query, answer, {"lakers"}) is None
+        assert retrieve_support_sentence(
+            index, query, answer, {"lakers"}, oracles.query_ranking(index, query)
+        ) is None
 
     def test_same_document_candidate_excluded(self):
         texts = ["Los Angeles welcomed the Lakers in 1960."]
@@ -203,7 +205,9 @@ class TestRetrieve:
         index = build_index(sentences, mentions)
         query = make_sentence(0, "The Lakers moved to Los Angeles in 1960.", doc_id="query_doc")
         answer = mention_at(query.text, "Los Angeles", "GPE")
-        assert retrieve_support_sentence(index, query, answer, {"lakers"}) is None
+        assert retrieve_support_sentence(
+            index, query, answer, {"lakers"}, oracles.query_ranking(index, query)
+        ) is None
 
     def test_byte_identical_candidate_excluded(self):
         texts = ["The Lakers moved to Los Angeles in 1960."]
@@ -217,19 +221,22 @@ class TestRetrieve:
         index = build_index(sentences, mentions)
         query = make_sentence(0, "The Lakers moved to Los Angeles in 1960.", doc_id="query_doc")
         answer = mention_at(query.text, "Los Angeles", "GPE")
-        assert retrieve_support_sentence(index, query, answer, {"lakers"}) is None
+        assert retrieve_support_sentence(
+            index, query, answer, {"lakers"}, oracles.query_ranking(index, query)
+        ) is None
 
     def test_min_extra_shared_entities_threshold(self):
         index, query, answer = support_fixture()
         strict = RetrievalConstraints(min_extra_shared_entities=2)
+        ranking = oracles.query_ranking(index, query)
         hit = retrieve_support_sentence(
-            index, query, answer, context_entities={"lakers", "1960"}, constraints=strict
+            index, query, answer, {"lakers", "1960"}, ranking, constraints=strict
         )
         assert hit is not None  # shares lakers and 1960
         stricter = RetrievalConstraints(min_extra_shared_entities=3)
         assert (
             retrieve_support_sentence(
-                index, query, answer, {"lakers", "1960"}, constraints=stricter
+                index, query, answer, {"lakers", "1960"}, ranking, constraints=stricter
             )
             is None
         )
@@ -241,7 +248,8 @@ class TestRetrieve:
             exclude_source_context=False,
             min_extra_shared_entities=0,
         )
-        hit = retrieve_support_sentence(index, query, answer, set(), constraints=relaxed)
+        ranking = oracles.query_ranking(index, query)
+        hit = retrieve_support_sentence(index, query, answer, set(), ranking, relaxed)
         # with everything off, the top BM25 hit that is not byte-identical wins
         assert hit is not None
 
@@ -271,7 +279,8 @@ class TestRetrieve:
                     m.normalized_key for m in mentions[query.sentence_id]
                 )
                 hit = retrieve_support_sentence(
-                    index, query, answer, query_keys, constraints
+                    index, query, answer, query_keys, oracles.query_ranking(index, query),
+                    constraints,
                 )
                 if hit is None:
                     continue
@@ -285,7 +294,9 @@ class TestRetrieve:
 
     def test_monotonicity_unrelated_sentence_keeps_result_valid(self):
         index, query, answer = support_fixture()
-        before = retrieve_support_sentence(index, query, answer, {"lakers"})
+        before = retrieve_support_sentence(
+            index, query, answer, {"lakers"}, oracles.query_ranking(index, query)
+        )
         texts = [
             "Los Angeles welcomed the Lakers in 1960.",
             "Los Angeles is a large city.",
@@ -308,6 +319,8 @@ class TestRetrieve:
             3: [],
         }
         bigger = build_index(sentences, mentions)
-        after = retrieve_support_sentence(bigger, query, answer, {"lakers"})
+        after = retrieve_support_sentence(
+            bigger, query, answer, {"lakers"}, oracles.query_ranking(bigger, query)
+        )
         assert after is not None and before is not None
         assert after.text == before.text
