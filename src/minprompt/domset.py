@@ -10,19 +10,31 @@ When the pointer reaches 0 every uncovered node covers only itself, so
 they are all selected in one step.
 
 Residuals are read, not stored, by sentgraph's `Residuals` (its module
-docstring states the formula) from copies of the degree pass's counts,
-out of which each pick counts the nodes it newly covers.
+docstring states the formula) from the degree pass's counts, copied at
+the first pick, out of which each pick counts the nodes it newly covers.
 
-When the pointer reaches a bucket, one gather reads the residuals of all
-its uncovered nodes. The nodes below the level are re-pushed together into
-the buckets of their residuals (lazily, as Minoux 1978 makes the greedy).
-The rest are at the level and are taken in id order: the first is picked,
-and each later one is re-read, because a pick in the bucket may have
-lowered it; it is picked if still at the level and re-pushed otherwise.
-Every pick is thus made on exact residuals and the selection is the eager
-greedy's. Queue work is O(V + E); the count updates are O(V * 2**5) plus
-the long rows' kernel calls; auxiliary state is O(V + total posting
-length) plus one kernel chunk.
+When the pointer reaches a bucket, the residuals of all its uncovered
+nodes are read before any pick in it. The nodes below the level are
+re-pushed together into the buckets of their residuals (lazily, as Minoux
+1978 makes the greedy). The rest are at the level and are taken in id
+order: the first is picked, and each later one is re-read, because a pick
+in the bucket may have lowered it; it is picked if still at the level and
+re-pushed otherwise. Every pick is thus made on exact residuals and the
+selection is the eager greedy's. Queue work is O(V + E); the count
+updates are O(V * 2**5) plus the long rows' kernel calls; auxiliary state
+is O(V + total posting length) plus one kernel chunk.
+
+Most picks and buckets are small, and a numpy call costs about a
+microsecond whatever its size, a plain Python step on one count about a
+tenth of that. So a pick whose closed neighborhood holds at most `_SCALAR_PICK`
+nodes marks and counts out its newly covered nodes one by one
+(`Residuals.cover_each`), a larger one with array calls
+(`Residuals.cover`); a bucket of at most `_SCALAR_BUCKET` uncovered nodes
+is read node by node (`Residuals.of_each`), a larger one with one gather
+(`Residuals.of_nodes`); and an empty level costs no call at all. Both
+sides of each switch compute the same counts, so the sizes change the
+time, never the selection. On the select_hubs benchmark graph (seed 1),
+3225 of the 3922 picks and 259 of the 415 nonempty buckets stay in Python.
 """
 
 from __future__ import annotations
@@ -39,6 +51,13 @@ from .sentgraph import Residuals, SentenceGraph, _run_starts
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
 DEGREE_MODES = (DEGREE_RESIDUAL, DEGREE_STATIC)
+
+# The largest closed neighborhood a pick covers, and the most uncovered
+# nodes a bucket reads, node by node in plain Python (see the module
+# docstring); measured near the break-even against the 5-20 numpy calls of
+# the vectorized cover and gather on the select_hubs graph.
+_SCALAR_PICK = 64
+_SCALAR_BUCKET = 16
 
 
 @dataclass(frozen=True)
@@ -72,21 +91,36 @@ def approx_dominating_set(
     for level in range(len(bucket_end) - 1, 0, -1):
         if not uncovered:
             break
-        bucket = by_degree[bucket_end[level - 1] : bucket_end[level]]
+        start, end = bucket_end[level - 1], bucket_end[level]
+        if start == end and level not in pushed:
+            continue
+        bucket = by_degree[start:end]
         if level in pushed:
             bucket = np.sort(np.concatenate([bucket, pushed.pop(level)]))
         bucket = bucket[~covered[bucket]]
-        if residuals is not None and bucket.size:
-            # nodes below the level wait in the bucket of their residual,
-            # those at 0 for the final step
+        if not bucket.size:
+            continue
+        # nodes below the level wait in the bucket of their residual, those
+        # at 0 for the final step
+        if residuals is None:
+            candidates = bucket.tolist()
+        elif bucket.size <= _SCALAR_BUCKET:
+            nodes = bucket.tolist()
+            candidates = []
+            for v, value in zip(nodes, residuals.of_each(nodes)):
+                if value == level:
+                    candidates.append(v)
+                elif value:
+                    pushed.setdefault(value, []).append(v)
+        else:
             values = residuals.of_nodes(bucket)
             lower = values < level
             for value, nodes in _grouped(values[lower], bucket[lower]):
                 if value:
                     pushed.setdefault(value, []).extend(nodes.tolist())
-            bucket = bucket[~lower]
+            candidates = bucket[~lower].tolist()
         picked = False
-        for v in bucket.tolist():
+        for v in candidates:
             if is_covered[v]:
                 continue
             if picked and residuals is not None:
@@ -99,11 +133,19 @@ def approx_dominating_set(
             picked = True
             selected.append(v)
             closed = graph.closed_neighborhood(v)
-            newly = closed[~covered[closed]]
-            covered[newly] = True
-            uncovered -= newly.size
-            if residuals is not None:
-                residuals.cover(newly)
+            if closed.size <= _SCALAR_PICK:
+                newly = [w for w in closed.tolist() if not is_covered[w]]
+                for w in newly:
+                    is_covered[w] = True
+                uncovered -= len(newly)
+                if residuals is not None:
+                    residuals.cover_each(newly)
+            else:
+                newly = closed[~covered[closed]]
+                covered[newly] = True
+                uncovered -= newly.size
+                if residuals is not None:
+                    residuals.cover(newly)
     # every node still uncovered has no uncovered neighbor left
     chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
     return DominatingSetResult(selected=tuple(chosen.tolist()), max_degree=graph.max_degree())

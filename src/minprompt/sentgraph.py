@@ -446,24 +446,40 @@ class SentenceGraph:
 
 class Residuals:
     """The residual degree of each uncovered node, read on demand from
-    counts that a covered node updates (see the module docstring)."""
+    counts that a covered node updates (see the module docstring).
+
+    `of_nodes` and `cover` work on arrays, with a few numpy calls per call;
+    their scalar twins `of_each` and `cover_each` (and `of`, for one node)
+    go node by node through memoryviews, which is cheaper for a few nodes.
+    The counts start as the graph's own arrays, so the degree pass, which
+    only reads, copies nothing; the first cover copies them."""
 
     def __init__(self, graph: SentenceGraph, covered: np.ndarray):
         self.graph = graph
         self.covered = covered
-        # N_U(S): the uncovered short rows that hold the key subset S
-        self.counts = graph.subset_counts.copy()
-        self._one = self.counts.dtype.type(1)
-        # the uncovered long rows in each node's closed neighborhood, and
+        # N_U(S): the uncovered short rows that hold the key subset S; the
+        # uncovered long rows in each node's closed neighborhood, and
         # holding each key
-        self.long_hits = graph.long_hits.copy() if graph.long_rows.size else graph.long_hits
-        self.long_members = graph.long_members.copy()
-        # single values are read through memoryviews, several times
-        # cheaper than indexing the numpy arrays
-        self._count_of = memoryview(self.counts).__getitem__
-        self._long_hits_of = memoryview(self.long_hits)
+        self._bind(graph.subset_counts, graph.long_hits, graph.long_members)
         self._at = memoryview(graph.subset_indptr)
         self._ids = memoryview(graph.subset_ids)
+
+    def _bind(self, counts: np.ndarray, long_hits: np.ndarray, long_members: np.ndarray) -> None:
+        self.counts, self.long_hits, self.long_members = counts, long_hits, long_members
+        self._one = counts.dtype.type(1)
+        # single values are read and written through memoryviews, several
+        # times cheaper than indexing the numpy arrays
+        self._counts = memoryview(counts)
+        self._count_of = self._counts.__getitem__
+        self._long_hits_of = memoryview(long_hits)
+
+    def _own(self) -> None:
+        """Copy the graph's counts before the first cover changes them."""
+        if self.counts is self.graph.subset_counts:
+            hits, members = self.long_hits, self.long_members
+            if self.graph.long_rows.size:  # otherwise only the counts change
+                hits, members = hits.copy(), members.copy()
+            self._bind(self.counts.copy(), hits, members)
 
     def of_nodes(self, nodes: np.ndarray) -> np.ndarray:
         """The residuals of distinct uncovered nodes, each with a key."""
@@ -479,9 +495,24 @@ class Residuals:
 
     def of(self, v: int) -> int:
         """The residual of one uncovered node with a key."""
+        value = self._counted(v)
+        return int(self._long(np.array([v]))[0]) if value is None else value
+
+    def of_each(self, nodes: list[int]) -> list[int]:
+        """The scalar twin of `of_nodes`, for a few nodes: short rows one
+        by one, the long rows among them in one gather."""
+        values = [self._counted(v) for v in nodes]
+        long = [v for v, value in zip(nodes, values) if value is None]
+        if long:
+            found = iter(self._long(np.array(long, dtype=np.int64)).tolist())
+            values = [next(found) if value is None else value for value in values]
+        return values
+
+    def _counted(self, v: int) -> int | None:
+        """A short row's residual by inclusion-exclusion; None for a long row."""
         a, b = self._at[v], self._at[v + 1]
         if a == b:
-            return int(self._long(np.array([v]))[0])
+            return None
         terms = map(self._count_of, self._ids[a:b])
         return sum(map(operator.mul, _SIGNS, terms)) - 1 + self._long_hits_of[v]
 
@@ -516,16 +547,34 @@ class Residuals:
 
     def cover(self, newly: np.ndarray) -> None:
         """Count out the nodes just covered; each shares a key with the pick."""
+        self._own()
         graph = self.graph
         starts = graph.subset_indptr[newly]
         widths = graph.subset_indptr[newly + 1] - starts
         # a scalar of the counts' own type keeps ufunc.at on its fast path
         np.subtract.at(self.counts, graph.subset_ids[_ranges(starts, widths)], self._one)
         if graph.long_rows.size:
-            long = newly[widths == 0]
-            if long.size:
-                np.subtract.at(self.long_members, graph._keys_of(long), 1)
-                graph._add_neighbor_hits(long, self.long_hits, -1)
+            self._cover_long(newly[widths == 0])
+
+    def cover_each(self, newly: list[int]) -> None:
+        """The scalar twin of `cover`, node by node, for a few nodes."""
+        self._own()
+        at, ids, counts = self._at, self._ids, self._counts
+        long = []
+        for w in newly:
+            a, b = at[w], at[w + 1]
+            if a == b:
+                long.append(w)
+            for i in ids[a:b]:
+                counts[i] -= 1
+        if long and self.graph.long_rows.size:
+            self._cover_long(np.array(long, dtype=np.int64))
+
+    def _cover_long(self, long: np.ndarray) -> None:
+        """Count out the covered nodes without subsets: long rows."""
+        if long.size:
+            np.subtract.at(self.long_members, self.graph._keys_of(long), 1)
+            self.graph._add_neighbor_hits(long, self.long_hits, -1)
 
 
 def build_graph(

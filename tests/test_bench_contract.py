@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from unittest import mock
 
 import minprompt
 import minprompt.cli  # TRACED names the cli module, which the package does not import
@@ -84,3 +85,29 @@ def test_greedy_records_one_neighborhood_span_per_pick():
     assert metrics["domset.neighborhood_calls"] == 2
     assert metrics["domset.selected"] == len(result.selected)
     assert metrics["sentgraph.edges"] == graph.edge_count() == 5
+
+
+def test_greedy_records_one_neighborhood_span_on_either_cover_path():
+    # node 0 holds the hub, with more members than a pick covers in plain
+    # Python, so its pick covers with array calls; node `hub` then covers
+    # its pair node by node. Each pick records one neighborhood span.
+    hub = domset._SCALAR_PICK + 1
+    postings = {"hub": list(range(hub)), "pair": [hub, hub + 1]}
+    graph = sentgraph.SentenceGraph.from_postings(hub + 2, postings)
+    tracer = tracing.Tracer()
+    tracer.install(minprompt)
+    try:
+        with (
+            mock.patch.object(sentgraph.Residuals, "cover", autospec=True,
+                              side_effect=sentgraph.Residuals.cover) as arrays,
+            mock.patch.object(sentgraph.Residuals, "cover_each", autospec=True,
+                              side_effect=sentgraph.Residuals.cover_each) as scalar,
+        ):
+            result = domset.approx_dominating_set(graph)
+    finally:
+        tracer.restore()
+    assert result.selected == (0, hub)
+    assert arrays.call_count == scalar.call_count == 1
+    neighborhoods = [span for span in tracer.spans if span[0] == "domset.closed_neighborhood"]
+    assert len(neighborhoods) == 2
+    assert tracing.layer_metrics(tracer.spans, tracer.counts, 0)["domset.neighborhood_calls"] == 2

@@ -17,7 +17,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import oracles
-from minprompt import sentgraph
+from minprompt import domset, sentgraph
 from minprompt.domset import approx_dominating_set, is_dominating_set
 from minprompt.errors import ValidationError
 from minprompt.sentgraph import SentenceGraph
@@ -135,16 +135,25 @@ def test_residuals_stay_exact_as_nodes_are_covered(case, data):
         residuals = sentgraph.Residuals(graph, covered)
         keyed = np.flatnonzero(np.diff(graph.node_indptr)).tolist()
         picks = data.draw(st.lists(st.sampled_from(keyed), max_size=4)) if keyed else []
+        start = [a.copy() for a in (graph.subset_counts, graph.long_hits, graph.long_members)]
         for v in picks:
             closed = graph.closed_neighborhood(v)
             newly = closed[~covered[closed]]
             covered[newly] = True
-            residuals.cover(newly)
+            # the array cover or its scalar twin, pick by pick
+            if data.draw(st.booleans()):
+                residuals.cover(newly)
+            else:
+                residuals.cover_each(newly.tolist())
         left = np.array([v for v in keyed if not covered[v]], dtype=np.int64)
         oracle = oracles.DictGraph(n, postings)
         expected = [int((~covered[oracle.closed_neighborhood(v)]).sum()) - 1 for v in left.tolist()]
         assert residuals.of_nodes(left).tolist() == expected
         assert [residuals.of(v) for v in left.tolist()] == expected
+        assert residuals.of_each(left.tolist()) == expected
+        # the first cover copied the counts: the graph's stay as they were
+        ends = (graph.subset_counts, graph.long_hits, graph.long_members)
+        assert all(np.array_equal(a, b) for a, b in zip(start, ends))
 
 
 @st.composite
@@ -191,6 +200,24 @@ def test_mixed_rows_match_heap_oracle(case):
     target(float(sum(stale)), label="long-row reads below the degree")
     oracle = oracles.DictGraph(n, postings)
     assert result.selected == oracles.heap_dominating_set(oracle)["selected"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_rows(), st.sampled_from(["residual", "static"]))
+def test_array_and_scalar_paths_each_match_heap_oracle(case, mode):
+    # the size switches at 0 send every pick and bucket to numpy; above
+    # any neighborhood or bucket size, to plain Python
+    n, postings = case
+    graph = SentenceGraph.from_postings(n, postings)
+    expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings), degree_mode=mode)
+    for size, unused in ((0, ("cover_each", "of_each")), (n + 1, ("cover", "of_nodes"))):
+        with mock.patch.multiple(domset, _SCALAR_PICK=size, _SCALAR_BUCKET=size):
+            with mock.patch.multiple(
+                sentgraph.Residuals, **{name: mock.DEFAULT for name in unused}
+            ) as other_side:
+                result = approx_dominating_set(graph, degree_mode=mode)
+        assert result.selected == expected["selected"], (mode, size)
+        assert not any(m.called for m in other_side.values()), (mode, size)
 
 
 def assert_degrees_match(n, postings):
@@ -326,7 +353,8 @@ class TestBatchedGreedy:
         assert result.selected == (0, 1, 8)
         assert rereads == [1]
 
-    def test_hub_graph_matches_heap_oracle(self):
+    @staticmethod
+    def hub_postings():
         # 20k nodes, three hubs of 3%, 1-6 Zipf-distributed keys per node:
         # rows reach past the inclusion-exclusion cap
         rng = random.Random(20)
@@ -336,12 +364,37 @@ class TestBatchedGreedy:
         for node in range(n):
             for key in rng.choices(range(tail), cum_weights=weights, k=rng.randint(1, 6)):
                 postings.setdefault(f"e{key}", []).append(node)
+        return n, postings
+
+    def test_hub_graph_matches_heap_oracle(self):
+        n, postings = self.hub_postings()
         graph = SentenceGraph.from_postings(n, postings)
         oracle = oracles.DictGraph(n, postings)
         assert graph.cached_degrees.tolist() == oracle.degrees.tolist()
         assert np.diff(graph.node_indptr).max() > sentgraph._IE_ROW
         result = approx_dominating_set(graph)
         assert result.selected == oracles.heap_dominating_set(oracle)["selected"]
+
+    def test_small_picks_and_buckets_make_no_array_calls(self):
+        # the hub graph makes 629 picks and reads 472 buckets with
+        # uncovered nodes. Measured: only 256 of the picks cover more than
+        # domset._SCALAR_PICK nodes with array calls, and only 193 of the
+        # buckets hold more than domset._SCALAR_BUCKET nodes and are
+        # gathered; the rest stay in plain Python. The bounds sit a little
+        # above those counts and below half the picks and buckets.
+        graph = SentenceGraph.from_postings(*self.hub_postings())
+        with (
+            mock.patch.object(SentenceGraph, "closed_neighborhood", autospec=True,
+                              side_effect=SentenceGraph.closed_neighborhood) as picks,
+            mock.patch.object(sentgraph.Residuals, "cover", autospec=True,
+                              side_effect=sentgraph.Residuals.cover) as covers,
+            mock.patch.object(sentgraph.Residuals, "of_nodes", autospec=True,
+                              side_effect=sentgraph.Residuals.of_nodes) as gathers,
+        ):
+            approx_dominating_set(graph)
+        assert picks.call_count == 629
+        assert covers.call_count <= 300
+        assert gathers.call_count <= 230
 
 
 class TestBounds:
