@@ -10,7 +10,6 @@ overlap-resolution step, so they emit mentions with identical invariants.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import re
@@ -296,40 +295,29 @@ def _pattern_candidates(text: str) -> list:
 
 
 def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]]):
-    """Longest span first, then leftmost, then source priority."""
+    """Longest span first, then leftmost, then source priority.
+
+    Accepted spans mark their positions in one occupancy mask, so a
+    candidate costs at most its own length to test and to mark. Every
+    candidate must have end > start: an empty span marks nothing and would
+    be kept inside an accepted span."""
     ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
+    taken = bytearray(max((c[1] for c in candidates), default=0))
     accepted: list[tuple[int, int, str]] = []
-    # The non-empty accepted spans are disjoint, so sorted by start they are
-    # sorted by end too. Empty spans come last and never block a span.
-    starts: list[int] = []
-    ends: list[int] = []
     for start, end, etype, _rank in ordered:
-        # spans before i end at or before `start`; spans after i start no
-        # earlier than span i, so span i overlaps if any does
-        i = bisect.bisect_right(ends, start)
-        if i < len(ends) and starts[i] < end:
-            continue
-        accepted.append((start, end, etype))
-        if start < end:
-            starts.insert(i, start)
-            ends.insert(i, end)
+        if taken.find(1, start, end) == -1:
+            taken[start:end] = b"\1" * (end - start)
+            accepted.append((start, end, etype))
     accepted.sort()
     return accepted
 
 
-def recognize_builtin(
-    sentence: Sentence, gazetteers: Mapping[str, str] | None = None
-) -> list[EntityMention]:
-    """Deterministic rule-based recognition over one sentence.
-
-    Pass the Gazetteer from load_gazetteers when recognizing many sentences;
-    a plain dict is indexed again on every call.
-    """
+def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMention]:
+    """Deterministic rule-based recognition over one sentence, with the
+    Gazetteer that load_gazetteers returns."""
     text = sentence.text
-    if not isinstance(gazetteers, Gazetteer):
-        gazetteers = Gazetteer(gazetteers or {})
-    candidates = _word_candidates(text, gazetteers)
-    candidates.extend(_fallback_candidates(text, gazetteers))
+    candidates = _word_candidates(text, gazetteer)
+    candidates.extend(_fallback_candidates(text, gazetteer))
     candidates.extend(_pattern_candidates(text))
     offsets = None if text.isascii() else ByteOffsets(text)
     mentions: list[EntityMention] = []

@@ -33,12 +33,10 @@ def byte_slice(text: str, start: int, end: int) -> str:
 class ByteOffsets:
     """Precomputed code-point -> byte offset map for one text."""
 
-    __slots__ = ("text", "data", "_table")
+    __slots__ = ("_table",)
 
     def __init__(self, text: str):
-        self.text = text
-        self.data = text.encode("utf-8")
-        if len(self.data) == len(text):
+        if text.isascii():
             self._table = None  # pure ASCII: identity
         else:
             table = [0] * (len(text) + 1)

@@ -30,7 +30,8 @@ from minprompt.errors import PipelineError, ValidationError
 from minprompt.offsets import byte_slice
 
 LAKERS = "The Lakers moved to Los Angeles in 1960."
-GAZ = {"Lakers": "ORG", "Los Angeles": "GPE"}
+GAZ = Gazetteer({"Lakers": "ORG", "Los Angeles": "GPE"})
+NO_TERMS = Gazetteer({})
 
 
 def surfaces(mentions):
@@ -47,51 +48,53 @@ class TestBuiltinRecognizer:
         ]
 
     def test_money_pattern(self):
-        mentions = recognize_builtin(make_sentence(0, "It costs $5."))
+        mentions = recognize_builtin(make_sentence(0, "It costs $5."), NO_TERMS)
         assert surfaces(mentions) == [("$5", "MONEY")]
 
     def test_no_rule_fires(self):
-        assert recognize_builtin(make_sentence(0, "the the the")) == []
+        assert recognize_builtin(make_sentence(0, "the the the"), NO_TERMS) == []
 
     def test_percent_and_cardinal(self):
-        mentions = recognize_builtin(make_sentence(0, "Sales rose 12% over 3 weeks."))
+        mentions = recognize_builtin(make_sentence(0, "Sales rose 12% over 3 weeks."), NO_TERMS)
         assert surfaces(mentions) == [("12%", "PERCENT"), ("3", "CARDINAL")]
 
     def test_number_words(self):
-        mentions = recognize_builtin(make_sentence(0, "He scored forty points."))
+        mentions = recognize_builtin(make_sentence(0, "He scored forty points."), NO_TERMS)
         assert surfaces(mentions) == [("forty", "CARDINAL")]
 
     def test_month_name_date_span(self):
-        mentions = recognize_builtin(make_sentence(0, "It opened on March 5, 1960 exactly."))
+        mentions = recognize_builtin(
+            make_sentence(0, "It opened on March 5, 1960 exactly."), NO_TERMS
+        )
         assert ("March 5, 1960", "DATE") in surfaces(mentions)
 
     def test_modal_may_is_not_a_date(self):
-        mentions = recognize_builtin(make_sentence(0, "He may arrive soon."))
+        mentions = recognize_builtin(make_sentence(0, "He may arrive soon."), NO_TERMS)
         assert surfaces(mentions) == []
 
     def test_capitalized_run_mid_sentence(self):
-        mentions = recognize_builtin(make_sentence(0, "He visited Baker Street twice."))
+        mentions = recognize_builtin(make_sentence(0, "He visited Baker Street twice."), NO_TERMS)
         assert surfaces(mentions) == [("Baker Street", "MISC")]
 
     def test_sentence_initial_token_never_joins_a_run(self):
-        mentions = recognize_builtin(make_sentence(0, "The Lakers moved west."), {})
+        mentions = recognize_builtin(make_sentence(0, "The Lakers moved west."), NO_TERMS)
         assert surfaces(mentions) == [("Lakers", "MISC")]
 
     def test_sentence_initial_only_run_dropped(self):
-        assert recognize_builtin(make_sentence(0, "They arrived late.")) == []
+        assert recognize_builtin(make_sentence(0, "They arrived late."), NO_TERMS) == []
 
     def test_gazetteer_requires_token_boundaries(self):
         mentions = recognize_builtin(make_sentence(0, "The Lakersish crowd."), GAZ)
         assert ("Lakers", "ORG") not in surfaces(mentions)
 
     def test_longest_match_wins(self):
-        gaz = {"York": "GPE", "New York": "GPE", "New York City": "GPE"}
+        gaz = Gazetteer({"York": "GPE", "New York": "GPE", "New York City": "GPE"})
         mentions = recognize_builtin(make_sentence(0, "She flew to New York City."), gaz)
         assert surfaces(mentions) == [("New York City", "GPE")]
 
     def test_spans_are_byte_offsets(self):
         text = "Zoë visited Los Angeles."
-        mentions = recognize_builtin(make_sentence(0, text), {"Los Angeles": "GPE"})
+        mentions = recognize_builtin(make_sentence(0, text), GAZ)
         (mention,) = [m for m in mentions if m.entity_type == "GPE"]
         start, end = mention.char_span
         assert byte_slice(text, start, end) == "Los Angeles"
@@ -110,14 +113,15 @@ class TestBuiltinRecognizer:
 
 
 # Pieces for random texts and gazetteer terms: words with '_', digits and
-# non-ASCII letters, capitalized words (runs), numbers, number words and
-# dates (patterns), 'ſ' and the Kelvin sign (which casefold to ASCII
-# letters), a non-ASCII digit, and punctuation that terms may start with
-# or that joins words.
+# non-ASCII letters, capitalized words (runs), numbers, number words, money,
+# percentages and dates (patterns), 'ſ' and the Kelvin sign (which casefold
+# to ASCII letters), a non-ASCII digit, and punctuation that terms may start
+# with or that joins words.
 _PIECES = [
     "a", "b", "ab", "Ab", "a_b", "_", "x1", "1960", "5", "é", "Éa", "ß", "ﬁ",
-    " ", " ", " ", ".", "-", "$", "%", "'", "’", "ſ", "\u212a", "٣",
-    "Twenty", "ONE", "ſix", "twenty-one", "May 5, 1999", "$1,000", "50%", "k1947",
+    " ", " ", " ", ".", "-", "$", "£", "€", "%", "'", "’", "ſ", "\u212a", "٣",
+    "Twenty", "ONE", "ſix", "twenty-one", "May 5, 1999", "March", "3rd",
+    "$1,000", "€2.5", "50%", "0.5%", "k1947",
 ]
 _TERMS = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join)
 _ENTRIES = st.lists(st.tuples(_TERMS, st.sampled_from(["ORG", "GPE", "PERSON"])), max_size=12)
@@ -151,7 +155,17 @@ class TestGazetteerIndex:
         sentence = make_sentence(0, text)
         expected = oracles.three_loop_recognize(sentence, table)
         assert recognize_builtin(sentence, Gazetteer(table)) == expected
-        assert recognize_builtin(sentence, table) == expected  # a plain dict still works
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_no_source_yields_an_empty_candidate(self, data):
+        # _resolve_overlaps requires end > start of every candidate
+        table, text = draw_gazetteer_and_text(data)
+        gaz = Gazetteer(table)
+        candidates = entities_mod._word_candidates(text, gaz)
+        candidates.extend(entities_mod._fallback_candidates(text, gaz))
+        candidates.extend(entities_mod._pattern_candidates(text))
+        assert all(start < end for start, end, _, _ in candidates)
 
     def test_overlapping_and_repeated_matches(self):
         gaz = Gazetteer({"a a": "ORG", "a": "GPE", "-a": "PERSON"})
@@ -204,7 +218,7 @@ class TestResolveOverlaps:
         st.lists(
             st.tuples(
                 st.integers(0, 30),
-                st.integers(0, 8),
+                st.integers(1, 8),
                 st.sampled_from(["ORG", "DATE", "MISC"]),
                 st.tuples(st.integers(0, 2), st.integers(0, 5)),
             ),
@@ -216,6 +230,29 @@ class TestResolveOverlaps:
         assert entities_mod._resolve_overlaps(candidates) == oracles.quadratic_resolve_overlaps(
             candidates
         )
+
+    def test_long_sentence_doubles_linearly(self):
+        # One-word capitalized runs, longer ones further right: longest-first
+        # order takes them right to left, so keeping the accepted spans in a
+        # sorted list would insert each one at its front.
+        def long_sentence(n: int, lengths: int = 20):
+            words = ", ".join("A" + "a" * (i * lengths // n) for i in range(n))
+            return make_sentence(0, f"the {words}")
+
+        sizes = (20000, 40000)
+        sentences = [long_sentence(n) for n in sizes]
+        best = [float("inf")] * len(sizes)
+        for _ in range(5):  # interleaved so clock-speed drift hits both sizes alike
+            for i, sentence in enumerate(sentences):
+                gc.collect()
+                gc.disable()
+                begin = time.perf_counter()
+                mentions = recognize_builtin(sentence, NO_TERMS)
+                best[i] = min(best[i], time.perf_counter() - begin)
+                gc.enable()
+        assert len(mentions) == sizes[-1]
+        # on 2 vCPUs: 1.9-2.3 with the mask, 2.7-4.0 with an O(n) insert per span
+        assert best[1] / best[0] < 2.8, f"times={best}"
 
 
 class TestWhFamily:
@@ -291,6 +328,16 @@ class TestSidecar:
         )
         with pytest.raises(
             ValidationError, match=f"^{re.escape(path)}:1: end must be past start, .*; got 99$"
+        ):
+            load_sidecar(path, sentences)
+
+    def test_empty_span_rejected(self, tmp_path):
+        sentences = [make_sentence(0, "The Lakers won.")]
+        path = self.write_sidecar(
+            tmp_path, [{"sentence_id": 0, "start": 4, "end": 4, "surface": "", "type": "ORG"}]
+        )
+        with pytest.raises(
+            ValidationError, match=f"^{re.escape(path)}:1: end must be past start, .*; got 4$"
         ):
             load_sidecar(path, sentences)
 
@@ -430,6 +477,18 @@ class TestServiceMode:
         RecognizerHandler.records = [{**record, "surface": surface, "type": "ORG"}]
         sentences = [make_sentence(i, "The Lakers won.") for i in range(2)]
         with pytest.raises(ValidationError, match=f"batch 0 record 0: {message}"):
+            recognize_service(sentences, recognizer_service)
+
+    def test_empty_span_rejected(self, recognizer_service):
+        RecognizerHandler.behavior = "records"
+        RecognizerHandler.records = [
+            {"sentence_id": 0, "start": 4, "end": 4, "surface": "", "type": "ORG"}
+        ]
+        sentences = [make_sentence(0, "The Lakers won.")]
+        with pytest.raises(
+            ValidationError,
+            match="^service batch 0 record 0: end must be past start, .*; got 4$",
+        ):
             recognize_service(sentences, recognizer_service)
 
     def test_dispatcher_service_mode(self, recognizer_service):
