@@ -294,15 +294,15 @@ def _pattern_candidates(text: str) -> list:
     ]
 
 
-def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]]):
+def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]], size: int):
     """Longest span first, then leftmost, then source priority.
 
-    Accepted spans mark their positions in one occupancy mask, so a
-    candidate costs at most its own length to test and to mark. Every
-    candidate must have end > start: an empty span marks nothing and would
-    be kept inside an accepted span."""
+    Accepted spans mark their positions in one occupancy mask of `size`
+    positions, so a candidate costs at most its own length to test and to
+    mark. Every candidate must have start < end <= size: an empty span
+    marks nothing and would be kept inside an accepted span."""
     ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
-    taken = bytearray(max((c[1] for c in candidates), default=0))
+    taken = bytearray(size)
     accepted: list[tuple[int, int, str]] = []
     for start, end, etype, _rank in ordered:
         if taken.find(1, start, end) == -1:
@@ -321,7 +321,7 @@ def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMe
     candidates.extend(_pattern_candidates(text))
     offsets = None if text.isascii() else ByteOffsets(text)
     mentions: list[EntityMention] = []
-    for start, end, etype in _resolve_overlaps(candidates):
+    for start, end, etype in _resolve_overlaps(candidates, len(text)):
         surface = text[start:end]
         key = normalize_key(surface)
         if not key:
@@ -359,7 +359,8 @@ def _finalize(per_sentence: dict[int, list[dict]]) -> dict[int, list[EntityMenti
     out: dict[int, list[EntityMention]] = {}
     for sid, records in per_sentence.items():
         candidates = [(r["start"], r["end"], r["type"], (0, i)) for i, r in enumerate(records)]
-        keep_spans = {(s, e) for s, e, _t in _resolve_overlaps(candidates)}
+        size = max((r["end"] for r in records), default=0)
+        keep_spans = {(s, e) for s, e, _t in _resolve_overlaps(candidates, size)}
         kept: dict[tuple[int, int], EntityMention] = {}
         for r in records:
             span = (r["start"], r["end"])

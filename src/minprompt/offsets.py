@@ -47,10 +47,8 @@ class ByteOffsets:
             table[len(text)] = pos
             self._table = table
 
-    def byte(self, char_index: int) -> int:
-        if self._table is None:
-            return char_index
-        return self._table[char_index]
-
     def byte_span(self, char_start: int, char_end: int) -> tuple[int, int]:
-        return self.byte(char_start), self.byte(char_end)
+        table = self._table
+        if table is None:
+            return char_start, char_end
+        return table[char_start], table[char_end]

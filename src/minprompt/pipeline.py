@@ -102,11 +102,6 @@ class PipelineConfig:
     output_dir: str = "out"
     workers: int | None = None
 
-    def styles(self) -> tuple[str, ...]:
-        if self.question_style == "both":
-            return (qgen_mod.STYLE_CLOZE, qgen_mod.STYLE_WH)
-        return (self.question_style,)
-
     def recognizer_config(self) -> RecognizerConfig:
         return RecognizerConfig(
             mode=self.recognizer_mode,
@@ -516,46 +511,6 @@ def stage_retrieve(
     return extended, extended_mentions, query_of
 
 
-def stage_build_graph(
-    config: PipelineConfig,
-    sentences: list[Sentence],
-    mentions: dict[int, list[EntityMention]],
-) -> sentgraph_mod.SentenceGraph:
-    stoplist = (
-        entities_mod.load_stoplist(config.stoplist_path)
-        if config.stoplist_path
-        else frozenset()
-    )
-    return sentgraph_mod.build_graph(sentences, mentions, stoplist, config.graph_scope)
-
-
-def stage_generate(
-    config: PipelineConfig,
-    selected,
-    sentences: list[Sentence],
-    mentions: dict[int, list[EntityMention]],
-    documents: dict[str, Document],
-    query_of: dict[int, int] | None,
-):
-    priors = (
-        WhPriors.from_file(config.priors_path) if config.priors_path else WhPriors.default()
-    )
-    return qgen_mod.assemble_dataset(
-        selected,
-        sentences,
-        mentions,
-        documents,
-        priors,
-        styles=config.styles(),
-        mask_token=config.mask_token,
-        lambda_weight=config.lambda_weight,
-        seed=config.seed,
-        order=config.template_order,
-        query_of=query_of,
-        dataset_id=config.dataset_id,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the stage table
 
@@ -713,7 +668,18 @@ def _graph_body(config: PipelineConfig, clock: StageClock, state: PipelineState)
         sentences, mentions, query_of = clock.run(
             "retrieve", stage_retrieve, config, sentences, mentions, recognizer
         )
-    graph = clock.run("build_graph", stage_build_graph, config, sentences, mentions)
+    # the stoplist loads inside the timed call, so a bad file fails tagged build_graph
+    graph = clock.run(
+        "build_graph",
+        lambda: sentgraph_mod.build_graph(
+            sentences,
+            mentions,
+            entities_mod.load_stoplist(config.stoplist_path)
+            if config.stoplist_path
+            else frozenset(),
+            config.graph_scope,
+        ),
+    )
     state.sentences, state.mentions, state.query_of, state.graph = (
         sentences, mentions, query_of, graph
     )
@@ -736,15 +702,23 @@ def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineSta
         raise PipelineError(
             f"graph_stats.json: malformed artifact, missing {', '.join(map(repr, missing))}"
         )
+    # the priors load inside the timed call, so a bad file fails tagged generate
     state.samples = clock.run(
         "generate",
-        stage_generate,
-        config,
-        selection["selected"],
-        state.sentences,
-        state.mentions,
-        {d.doc_id: d for d in state.documents},
-        state.query_of,
+        lambda: qgen_mod.assemble_dataset(
+            selection["selected"],
+            state.sentences,
+            state.mentions,
+            {d.doc_id: d for d in state.documents},
+            WhPriors.from_file(config.priors_path) if config.priors_path else WhPriors.default(),
+            styles=qgen_mod.STYLES if config.question_style == "both" else (config.question_style,),
+            mask_token=config.mask_token,
+            lambda_weight=config.lambda_weight,
+            seed=config.seed,
+            order=config.template_order,
+            query_of=state.query_of,
+            dataset_id=config.dataset_id,
+        ),
     )
     state.stats = PipelineStats(
         nodes=graph_stats["nodes"],

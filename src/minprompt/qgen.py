@@ -46,7 +46,6 @@ class QaPair:
     context: str
     style: str
     source_sentence_id: int
-    answer_type: str
     # Byte span of the chosen entity occurrence inside the context, when known.
     context_answer_span: tuple[int, int] | None = None
 
@@ -56,7 +55,6 @@ class Provenance:
     dataset_id: str
     doc_id: str
     sentence_id: int
-    origin: str
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,6 @@ def generate_cloze(
         context=context,
         style=STYLE_CLOZE,
         source_sentence_id=sentence.sentence_id,
-        answer_type=answer.entity_type,
         context_answer_span=context_answer_span,
     )
 
@@ -219,7 +216,6 @@ def generate_wh(
         context=context,
         style=STYLE_WH,
         source_sentence_id=sentence.sentence_id,
-        answer_type=answer.entity_type,
         context_answer_span=context_answer_span,
     )
 
@@ -266,7 +262,7 @@ def format_prompt(
     prompt_input = f"Question: {qa.question} Answer: {mask_token} Context: {masked_context}"
     target = f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}"
     if provenance is None:
-        provenance = Provenance("", "", qa.source_sentence_id, ORIGIN_CORPUS)
+        provenance = Provenance("", "", qa.source_sentence_id)
     return AugmentedSample(
         input=prompt_input,
         target=target,
@@ -361,7 +357,6 @@ def assemble_dataset(
                     dataset_id=dataset_id,
                     doc_id=context_doc,
                     sentence_id=sid,
-                    origin=sentence.origin,
                 )
                 sample = format_prompt(qa, mask_token, lambda_weight, provenance)
                 if sample is None:

@@ -14,6 +14,7 @@ import minprompt
 
 PACKAGE_DIR = os.path.dirname(minprompt.__file__)
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 ALLOWED = frozenset(sys.stdlib_module_names) | {"numpy", "minprompt"}
 
 
@@ -63,13 +64,37 @@ def test_runtime_dependencies_are_numpy_only():
     assert [re.match(r"[A-Za-z0-9_.\-]+", dep).group() for dep in dependencies] == ["numpy"]
 
 
-def test_cli_import_loads_no_http_modules():
-    # a fresh interpreter: the test session itself has loaded http.server;
-    # only the service recognizer needs HTTP, and it imports it when it runs
-    code = "import sys, minprompt.cli; print('http.client' in sys.modules)"
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this package.
+
+    The test session itself has loaded http.server and numpy."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_http_modules():
+    # only the service recognizer needs HTTP, and it imports it when it runs
+    code = "import sys, minprompt.cli; print('http.client' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_text_modules_load_no_numpy():
+    # numpy serves the graph, the greedy and retrieval; the package root,
+    # ingest, recognition and sample assembly do without it
+    code = (
+        "import sys, minprompt, minprompt.corpus, minprompt.entities, minprompt.qgen, "
+        "minprompt.fileio; print('numpy' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_readme_library_imports_run():
+    with open(README, "r", encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme[readme.index("\n## Library\n") :]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -365,7 +365,6 @@ class TestAssembleDataset:
             assert sample.input.endswith(f"Context: {doc[:start]}<mask>{doc[end:]}")
             assert sample.qa.context == doc
             assert sample.provenance.doc_id == "doc_a"
-            assert sample.provenance.origin == "retrieved"
 
     def test_retrieved_answer_spelled_otherwise_in_the_query_document_skipped(self, caplog):
         # the key's first mention in the context reads "Lakers", not the
