@@ -8,14 +8,13 @@ dependency-free; spans are UTF-8 byte offsets into the document text.
 
 from __future__ import annotations
 
-import gzip
 import os
 import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fileio import Field, check_record, iter_lines, parse_json
-from .offsets import ByteOffsets
+from .fileio import Field, check_record, iter_lines, parse_json, read_text
+from .offsets import byte_spans
 
 PLAIN_TEXT = "plain_text"
 MRQA_JSONL = "mrqa_jsonl"
@@ -95,8 +94,7 @@ def ingest(
 
 
 def _read_plain(path: str, dataset_id: str) -> Document:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     if not text.strip():
         raise ValidationError(f"document {path} is empty after whitespace normalization")
     return Document(doc_id=os.path.basename(path), dataset_id=dataset_id, text=text)
@@ -105,10 +103,7 @@ def _read_plain(path: str, dataset_id: str) -> Document:
 def _read_mrqa(path: str, dataset_id: str) -> list[Document]:
     base = os.path.basename(path)
     docs: list[Document] = []
-    with open(path, "rb") as raw:
-        magic = raw.read(2)
-    opener = gzip.open if magic == b"\x1f\x8b" else open
-    for lineno, line in iter_lines(path, opener=opener):
+    for lineno, line in iter_lines(path, allow_gzip=True):
         if line.startswith('{"header"'):
             continue
         record = check_record(parse_json(line, path, lineno), MRQA_CONTEXT, f"{path}:{lineno}")
@@ -155,27 +150,24 @@ def segment_sentences(
 ) -> list[Sentence]:
     """Split a document into sentences with byte spans into its text."""
     text = doc.text
-    offsets = ByteOffsets(text)
-    sentences: list[Sentence] = []
-    next_id = start_id
+    spans: list[tuple[int, int]] = []
     for cs, ce in _raw_char_spans(text, abbreviations):
         while cs < ce and text[cs].isspace():
             cs += 1
         while ce > cs and text[ce - 1].isspace():
             ce -= 1
-        if ce <= cs:
-            continue
-        sentences.append(
-            Sentence(
-                sentence_id=next_id,
-                doc_id=doc.doc_id,
-                char_span=offsets.byte_span(cs, ce),
-                text=text[cs:ce],
-                origin=ORIGIN_CORPUS,
-            )
+        if cs < ce:
+            spans.append((cs, ce))
+    return [
+        Sentence(
+            sentence_id=start_id + i,
+            doc_id=doc.doc_id,
+            char_span=byte_span,
+            text=text[cs:ce],
+            origin=ORIGIN_CORPUS,
         )
-        next_id += 1
-    return sentences
+        for i, ((cs, ce), byte_span) in enumerate(zip(spans, byte_spans(text, spans)))
+    ]
 
 
 def segment_corpus(

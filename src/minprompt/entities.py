@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .corpus import Sentence
 from .errors import PipelineError, ValidationError
 from .fileio import COUNT, Field, check_record, iter_jsonl, iter_lines
-from .offsets import ByteOffsets
+from .offsets import byte_spans
 
 ENTITY_TYPES = frozenset(
     {
@@ -319,14 +319,14 @@ def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMe
     candidates = _word_candidates(text, gazetteer)
     candidates.extend(_fallback_candidates(text, gazetteer))
     candidates.extend(_pattern_candidates(text))
-    offsets = None if text.isascii() else ByteOffsets(text)
+    accepted = _resolve_overlaps(candidates, len(text))
+    spans = byte_spans(text, [(start, end) for start, end, _ in accepted])
     mentions: list[EntityMention] = []
-    for start, end, etype in _resolve_overlaps(candidates, len(text)):
+    for (start, end, etype), span in zip(accepted, spans):
         surface = text[start:end]
         key = normalize_key(surface)
         if not key:
             continue
-        span = (start, end) if offsets is None else offsets.byte_span(start, end)
         mentions.append(EntityMention(surface, etype, span, key))
     return mentions
 

@@ -1,6 +1,8 @@
 """Reading and writing of every input and artifact file.
 
-Text that is not JSON raises ParseError("<path>:<line>: malformed JSON ...").
+Text that is not JSON raises ParseError("<path>:<line>: malformed JSON ..."),
+and a file that is not UTF-8 ParseError("<path>:<line>: not valid UTF-8 ...").
+Only this module opens files.
 A JSON record is declared once, as a dict of key -> Field, next to the code
 that writes it; a reader given the declaration checks each record with
 `check_record`, and a bad one raises
@@ -13,6 +15,7 @@ half-written one; a failed write leaves the previous file and no temporary.
 
 from __future__ import annotations
 
+import gzip
 import itertools
 import json
 import os
@@ -69,14 +72,45 @@ def distinct():
     return lambda v, r: v not in seen and not seen.add(v)  # set.add returns None
 
 
-def iter_lines(path: str, comments: bool = False, opener=open):
+def _not_utf8(path: str, opener) -> ParseError:
+    """The error for a file that does not decode as UTF-8, naming its first
+    bad line. A text reader decodes ahead of the line it hands out, so the
+    line is found by decoding the file again, line by line."""
+    with opener(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{lineno}: not valid UTF-8: {exc}")
+    return ParseError(f"{path}: not valid UTF-8")
+
+
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path, open) from None
+
+
+def iter_lines(path: str, comments: bool = False, allow_gzip: bool = False):
     """(line number, stripped line) for each non-blank line of a UTF-8 file;
-    with `comments`, also skips lines starting with '#'."""
-    with opener(path, "rt", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if stripped and not (comments and stripped.startswith("#")):
-                yield lineno, stripped
+    with `comments`, also skips lines starting with '#'; with `allow_gzip`,
+    a file that starts with the gzip magic bytes is read decompressed."""
+    opener = open
+    if allow_gzip:
+        with open(path, "rb") as raw:
+            if raw.read(2) == b"\x1f\x8b":
+                opener = gzip.open
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if stripped and not (comments and stripped.startswith("#")):
+                    yield lineno, stripped
+    except UnicodeDecodeError:
+        raise _not_utf8(path, opener) from None
 
 
 def parse_json(text: str, path: str, lineno: int = 1):
@@ -102,8 +136,7 @@ def read_jsonl(path: str, fields: dict[str, Field] | None = None) -> list:
 
 
 def read_json(path: str, fields: dict[str, Field] | None = None):
-    with open(path, "r", encoding="utf-8") as handle:
-        value = parse_json(handle.read(), path)
+    value = parse_json(read_text(path), path)
     return value if fields is None else check_record(value, fields, path)
 
 

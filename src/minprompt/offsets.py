@@ -30,25 +30,22 @@ def byte_slice(text: str, start: int, end: int) -> str:
         ) from exc
 
 
-class ByteOffsets:
-    """Precomputed code-point -> byte offset map for one text."""
+def byte_spans(text: str, spans):
+    """The UTF-8 byte offsets of the code-point `spans` into `text`.
 
-    __slots__ = ("_table",)
-
-    def __init__(self, text: str):
-        if text.isascii():
-            self._table = None  # pure ASCII: identity
-        else:
-            table = [0] * (len(text) + 1)
-            pos = 0
-            for i, ch in enumerate(text):
-                table[i] = pos
-                pos += len(ch.encode("utf-8"))
-            table[len(text)] = pos
-            self._table = table
-
-    def byte_span(self, char_start: int, char_end: int) -> tuple[int, int]:
-        table = self._table
-        if table is None:
-            return char_start, char_end
-        return table[char_start], table[char_end]
+    The spans must be sorted and disjoint: each starts at or after the
+    previous one's end and ends at or after its own start. One pass encodes
+    each gap and each span once. ASCII text, whose byte offsets are its
+    code-point offsets, gets `spans` back as they are, unchecked."""
+    if text.isascii():
+        return spans
+    converted = []
+    pos = offset = 0
+    for start, end in spans:
+        if not pos <= start <= end:  # an overlap would shift every later offset
+            raise ValidationError(f"spans must be sorted and disjoint; {start, end} follows {pos}")
+        first = offset + len(text[pos:start].encode("utf-8"))
+        offset = first + len(text[start:end].encode("utf-8"))
+        converted.append((first, offset))
+        pos = end
+    return converted

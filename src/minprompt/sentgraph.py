@@ -57,11 +57,10 @@ times the subsets of a short row per key.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from array import array
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +80,6 @@ _SCOPE_SEP = "\x00"
 # Codes expanded per kernel chunk: bounds the kernel's working memory
 # (2**21 codes per chunk cost ~100 MB more peak RSS than 2**15 at no gain).
 _CHUNK_CODES = 1 << 15
-
-# A sentence mentions few entities: node rows up to this many keys are
-# checked by direct comparison; longer rows are bisected.
-_SCAN_ROW = 4
 
 # Node rows up to this many keys get their degrees by inclusion-exclusion
 # over the 2**_IE_ROW - 1 subsets of their keys; longer rows use the kernel.
@@ -170,27 +165,6 @@ def _intern(node_count: int, postings: dict[str, list[int] | np.ndarray]):
     return keys, key_indptr, members, node_indptr, node_keys
 
 
-class Postings(Mapping):
-    """Read-only mapping of each key to the sorted array view of its members."""
-
-    def __init__(self, keys: list[str], indptr: np.ndarray, members: np.ndarray):
-        self._keys = keys
-        self._indptr = indptr
-        self._members = members
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        k = bisect_left(self._keys, key)
-        if k == len(self._keys) or self._keys[k] != key:
-            raise KeyError(key)
-        return self._members[self._indptr[k] : self._indptr[k + 1]]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class SentenceGraph:
     """Implicit undirected graph: u ~ v iff they share an entity key.
 
@@ -220,7 +194,6 @@ class SentenceGraph:
         self.node_keys = node_keys
         for array in (key_indptr, key_members, node_indptr, node_keys):
             array.flags.writeable = False
-        self.postings = Postings(keys, key_indptr, key_members)
         self.cached_degrees = self._degrees()
         for name in ("long_hits", "long_members", "subset_indptr", "subset_ids", "subset_counts"):
             getattr(self, name).flags.writeable = False
@@ -229,6 +202,18 @@ class SentenceGraph:
     def from_postings(cls, node_count: int, postings: dict[str, list[int] | np.ndarray]):
         """Build from raw key -> member-id lists (members deduped and sorted)."""
         return cls(node_count, *_intern(node_count, postings))
+
+    @functools.cached_property
+    def postings(self) -> dict[str, np.ndarray]:
+        """The `key_rows` as a dict, built on first read and kept."""
+        return dict(self.key_rows())
+
+    def key_rows(self):
+        """(key, its member ids as a read-only view of key_members) for each
+        key, in key order, one at a time."""
+        bounds = memoryview(self.key_indptr)
+        for key, a, b in zip(self.keys, bounds, bounds[1:]):
+            yield key, self.key_members[a:b]
 
     def _keys_of(self, nodes: np.ndarray) -> np.ndarray:
         """Key ids of every node in `nodes`, node by node."""
@@ -294,23 +279,16 @@ class SentenceGraph:
             yield i[outside], w[outside]
 
     def _has_key(self, nodes: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Mask: is keys[j] one of the keys of nodes[j]?"""
-        first = self.node_indptr[nodes]
-        last = self.node_indptr[nodes + 1] - 1
-        found = self.node_keys[first] == keys
-        for j in range(1, _SCAN_ROW):
-            found |= self.node_keys[np.minimum(first + j, last)] == keys
-        long = np.flatnonzero(last - first >= _SCAN_ROW)
-        if long.size:
-            # bisect each longer row for the first of its keys >= the key
-            lo, hi, want = first[long], last[long], keys[long]
-            while (active := lo < hi).any():
-                mid = (lo + hi) >> 1
-                right = active & (self.node_keys[mid] < want)
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(active & ~right, mid, hi)
-            found[long] = self.node_keys[lo] == want
-        return found
+        """Mask: is keys[j] one of the keys of nodes[j]? Each node has a key."""
+        # bisect each row for the first of its keys >= the key
+        lo = self.node_indptr[nodes]
+        hi = self.node_indptr[nodes + 1] - 1
+        while (active := lo < hi).any():
+            mid = (lo + hi) >> 1
+            right = active & (self.node_keys[mid] < keys)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(active & ~right, mid, hi)
+        return self.node_keys[lo] == keys
 
     def _degrees(self) -> np.ndarray:
         """The degree pass: each node's count of distinct neighbors, read as
@@ -611,7 +589,7 @@ def build_graph(
 def write_postings_dump(graph: SentenceGraph, path: str) -> None:
     """Debug dump: one JSON line per entity key, in key order, with its sentence ids."""
     write_jsonl(
-        ({"entity": k, "sentences": members.tolist()} for k, members in graph.postings.items()),
+        ({"entity": k, "sentences": members.tolist()} for k, members in graph.key_rows()),
         path,
     )
 

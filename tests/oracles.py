@@ -27,7 +27,6 @@ from minprompt.entities import (
     normalize_key,
 )
 from minprompt.errors import ValidationError
-from minprompt.offsets import ByteOffsets
 from minprompt.retrieval import B, K1, rank, tokenize
 
 _BRUTE_FORCE_LIMIT = 25
@@ -431,14 +430,19 @@ def three_loop_recognize(sentence, table) -> list[EntityMention]:
     candidates = list(scan_gazetteer_candidates(text, table))
     candidates.extend(loop_pattern_candidates(text))
     candidates.extend(loop_capitalized_run_candidates(text))
-    offsets = ByteOffsets(text)
     mentions = []
     for start, end, etype in quadratic_resolve_overlaps(candidates):
         surface = text[start:end]
         key = normalize_key(surface)
         if key:
-            mentions.append(EntityMention(surface, etype, offsets.byte_span(start, end), key))
+            span = (byte_offset(text, start), byte_offset(text, end))
+            mentions.append(EntityMention(surface, etype, span, key))
     return mentions
+
+
+def byte_offset(text: str, i: int) -> int:
+    """The UTF-8 byte offset of code point `i` of `text`, from the definition."""
+    return len(text[:i].encode("utf-8"))
 
 
 def naive_token_f1(prediction: str, golds: list[str]) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gzip
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from minprompt.corpus import (
     segment_sentences,
 )
 from minprompt.errors import ParseError, ValidationError
-from minprompt.offsets import byte_slice
+from minprompt.offsets import byte_slice, byte_spans
 
 
 def write(path, text):
@@ -163,6 +164,25 @@ class TestSegmentation:
             start, end = sentence.char_span
             assert byte_slice(text, start, end) == sentence.text
 
+    def test_non_ascii_text_costs_no_table_per_character(self):
+        # the sentences themselves (94 characters each, stored at two bytes
+        # a character) hold about 6.5 bytes per character of the document; a
+        # code-point -> byte table alone held 36
+        piece = (
+            "The Lakers’ owner met Zoë at the café on Fifth Street in 1947, "
+            "and they talked of the season. "
+        )
+        doc = make_doc(piece * (200_000 // len(piece)))
+        segment_sentences(doc)
+        tracemalloc.start()
+        try:
+            sentences = segment_sentences(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sentences) == 200_000 // len(piece)
+        assert peak < 12 * len(doc.text)
+
     def test_reconstruction_with_gaps(self):
         text = "  First one. Second two!\n\nThird three?  "
         doc = make_doc(text)
@@ -242,3 +262,35 @@ def test_raw_char_spans_equal_character_walk(text):
         assert _raw_char_spans(text, abbreviations) == oracles.loop_raw_char_spans(
             text, abbreviations
         )
+
+
+# ASCII and 2-, 3- and 4-byte UTF-8 characters
+_MIXED_WIDTH = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+        st.characters(min_codepoint=0x800, max_codepoint=0xFFFF, blacklist_categories=("Cs",)),
+        st.characters(min_codepoint=0x10000),
+    ),
+    max_size=60,
+)
+
+
+@given(_MIXED_WIDTH, st.data())
+@settings(max_examples=300)
+def test_byte_spans_equal_the_definition(text, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=12)))
+    spans = list(zip(cuts[::2], cuts[1::2]))  # sorted and disjoint; may touch or be empty
+    assert byte_spans(text, spans) == [
+        (oracles.byte_offset(text, start), oracles.byte_offset(text, end)) for start, end in spans
+    ]
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [[(2, 5), (4, 6)], [(3, 5), (0, 2)], [(3, 2)], [(0, 1), (5, 4)]],
+    ids=["overlap", "out_of_order", "reversed", "reversed_after_first"],
+)
+def test_byte_spans_reject_unsorted_spans(spans):
+    with pytest.raises(ValidationError, match="sorted and disjoint"):
+        byte_spans("Zoë’s café 😀", spans)

@@ -57,6 +57,42 @@ def test_import_scan_sees_each_form():
     assert _foreign_imports(source) == [(1, "requests"), (2, "yaml"), (3, "scipy"), (4, "attr")]
 
 
+def _file_opens(source: str) -> list[int]:
+    """Lines that name the builtin open or gzip.open, called or not."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "open")
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "open"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gzip"
+        )
+    )
+
+
+def test_only_fileio_opens_files():
+    # one module owns reading and writing, so every file gets the same
+    # UTF-8 and gzip handling and every write the same atomic rename
+    found = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "fileio.py":
+            with open(os.path.join(PACKAGE_DIR, name), "r", encoding="utf-8") as handle:
+                opens = _file_opens(handle.read())
+            if opens:
+                found[name] = opens
+    assert found == {}, f"files opened outside fileio.py, by line: {found}"
+
+
+def test_open_scan_sees_each_form():
+    source = (
+        "open(p)\nwith gzip.open(p, 'rt') as f:\n    pass\nopener = open\n"
+        "urllib.request.urlopen(r)\nos.open(p, 0)\nhandle.open\n"
+    )
+    assert _file_opens(source) == [1, 2, 4]
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as handle:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gzip
 import json
 import os
 import re
@@ -165,7 +166,8 @@ class TestAtomicWrites:
 
 
 class TestReadersNameTheLine:
-    """Every JSON Lines input reports `<path>:<line>` on a line that is not JSON."""
+    """Every JSON Lines input reports `<path>:<line>` on a line that is not
+    JSON or not UTF-8."""
 
     def broken(self, tmp_path, name, good):
         path = tmp_path / name
@@ -189,6 +191,24 @@ class TestReadersNameTheLine:
             evaluate_files(pred, str(good_gold))
         with pytest.raises(ParseError, match=f"^{re.escape(str(gold))}:3: malformed JSON"):
             evaluate_files(str(good_pred), gold)
+
+
+    def test_file_not_utf8(self, tmp_path):
+        # a text reader decodes ahead of the line it hands out; the error
+        # still names the line of the first bad byte
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"a": "caf\xe9"}\n')
+        for read in (read_json, read_jsonl):
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: not valid UTF-8"):
+                read(str(path))
+
+    def test_gzip_read_only_where_allowed(self, tmp_path):
+        path = tmp_path / "records.jsonl.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as handle:
+            handle.write('{"a": 1}\n')
+        assert list(iter_lines(str(path), allow_gzip=True)) == [(1, '{"a": 1}')]
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: not valid UTF-8"):
+            read_jsonl(str(path))
 
 
 def _writing_opens(source: str) -> list[int]:

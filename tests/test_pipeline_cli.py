@@ -876,6 +876,22 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "ingest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, lines",
+        [
+            ("input_paths", "The Lakers won.\nThe Café opened."),
+            ("gazetteer_paths", "Lakers\tORG\nCafé\tORG"),
+            ("stoplist_path", "lakers\ncafé"),
+        ],
+        ids=["input_paths", "gazetteer_paths", "stoplist_path"],
+    )
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys, key, lines):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(f"{lines}\n".encode("latin-1"))
+        path = write_fixture_config(tmp_path, **{key: str(latin1)})
+        assert main(["run", "--config", path]) == 2
+        assert f"{latin1}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("lambda_weight = -1\ninput_paths = x\n", encoding="utf-8")

@@ -335,6 +335,21 @@ class TestAssembleDataset:
         assert samples == []
         assert any("appears" in r.message for r in caplog.records)
 
+    def test_cloze_skipped_for_text_holding_the_mask(self, caplog):
+        text = "The Lakers wrote [MASK] on the board."
+        documents = {"d": Document("d", "", text)}
+        sentences = [make_sentence(0, text, doc_id="d")]
+        mentions = {0: [mention_at(text, "Lakers", "ORG")]}
+        with caplog.at_level("INFO", logger="minprompt.qgen"):
+            samples = assemble_dataset(
+                [0], sentences, mentions, documents, WhPriors.default(), styles=("cloze", "wh")
+            )
+        assert [s.qa.style for s in samples] == ["wh"]
+        assert any(
+            r.getMessage() == "skipping cloze for sentence 0: text already contains [MASK]"
+            for r in caplog.records
+        )
+
     def test_deterministic_output(self):
         documents, sentences, mentions = simple_corpus()
         kwargs = dict(styles=("cloze", "wh"), seed=7)
