@@ -14,7 +14,6 @@ import functools
 import json
 import re
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .corpus import Sentence
@@ -98,45 +97,34 @@ class RecognizerConfig:
 
     @functools.cached_property
     def gazetteer(self) -> Gazetteer:
-        """The gazetteer_paths, loaded on first use and kept: every corpus
-        recognized with this config shares one load."""
-        return load_gazetteers(self.gazetteer_paths)
+        """The gazetteer_paths, loaded and indexed on first use and kept:
+        every corpus recognized with this config shares one load."""
+        return Gazetteer(load_gazetteers(self.gazetteer_paths))
 
 
-class Gazetteer(Mapping):
-    """A read-only term -> entity type table, indexed for matching.
+class Gazetteer:
+    """The index of a term -> entity type table that matching reads.
 
-    It compares equal to the plain dict of its terms. Each term that starts
-    with a word character sits in the bucket of its first `\\w+` token, keyed
-    by its length, so a text is matched with one lookup per token start and
-    distinct term length in its bucket, however many terms share the token;
-    the few terms that start otherwise are scanned for.
+    Each term sits in the bucket of its lead, keyed by its length: the first
+    `\\w+` token of a term that starts with a word character, else its first
+    character, so the two kinds of lead never collide. A text is matched
+    with one lookup per token start or `leads` match and distinct term
+    length in its bucket, however many terms share the lead.
     """
 
     def __init__(self, table: dict[str, str]):
-        self._types = dict(table)
-        # first token -> term length -> term -> entity type
+        # lead -> term length -> term -> entity type
         self.buckets: dict[str, dict[int, dict[str, str]]] = {}
-        self.fallback: list[tuple[str, str]] = []
-        for term, etype in self._types.items():
+        for term, etype in table.items():
             first = _TOKEN_RUN_RE.match(term)
-            if first is None:
-                self.fallback.append((term, etype))
-            else:
-                bucket = self.buckets.setdefault(first.group(), {})
-                bucket.setdefault(len(term), {})[term] = etype
-
-    def __getitem__(self, term: str) -> str:
-        return self._types[term]
-
-    def __iter__(self):
-        return iter(self._types)
-
-    def __len__(self) -> int:
-        return len(self._types)
+            lead = term[0] if first is None else first.group()
+            self.buckets.setdefault(lead, {}).setdefault(len(term), {})[term] = etype
+        # the leads that are not word tokens, as one character class
+        symbols = sorted(lead for lead in self.buckets if _TOKEN_RUN_RE.match(lead) is None)
+        self.leads = re.compile(f"[{''.join(map(re.escape, symbols))}]") if symbols else None
 
 
-def load_gazetteers(paths: tuple[str, ...] | list[str]) -> Gazetteer:
+def load_gazetteers(paths: tuple[str, ...] | list[str]) -> dict[str, str]:
     """Load term -> entity type tables (tab-separated, '#' comments).
 
     Later files and later lines win on duplicate terms.
@@ -153,7 +141,7 @@ def load_gazetteers(paths: tuple[str, ...] | list[str]) -> Gazetteer:
             if not term:
                 raise ValidationError(f"{path}:{lineno}: empty term")
             table[term] = etype
-    return Gazetteer(table)
+    return table
 
 
 # Candidate sources, in priority order for identical spans.
@@ -265,15 +253,14 @@ def _word_candidates(text: str, gazetteer: Gazetteer) -> list:
     return found
 
 
-def _fallback_candidates(text: str, gazetteer: Gazetteer):
-    """Matches of the terms that do not start with a word character."""
-    for term, etype in gazetteer.fallback:
-        pos = text.find(term)
-        while pos != -1:
-            end = pos + len(term)
-            if _on_token_boundary(text, pos, end):
-                yield pos, end, etype, _GAZETTEER_RANK
-            pos = text.find(term, pos + 1)
+def _lead_candidates(text: str, gazetteer: Gazetteer):
+    """Matches of the terms that do not start with a word character: one
+    bucket lookup at each character of the text that leads such a term."""
+    if gazetteer.leads is None:
+        return
+    buckets = gazetteer.buckets
+    for lead in gazetteer.leads.finditer(text):
+        yield from _term_candidates(text, lead.start(), buckets[lead.group()])
 
 
 def _pattern_candidates(text: str) -> list:
@@ -313,11 +300,11 @@ def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]], s
 
 
 def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMention]:
-    """Deterministic rule-based recognition over one sentence, with the
-    Gazetteer that load_gazetteers returns."""
+    """Deterministic rule-based recognition over one sentence, with a
+    Gazetteer index of a term table, `Gazetteer(load_gazetteers(paths))`."""
     text = sentence.text
     candidates = _word_candidates(text, gazetteer)
-    candidates.extend(_fallback_candidates(text, gazetteer))
+    candidates.extend(_lead_candidates(text, gazetteer))
     candidates.extend(_pattern_candidates(text))
     accepted = _resolve_overlaps(candidates, len(text))
     spans = byte_spans(text, [(start, end) for start, end, _ in accepted])

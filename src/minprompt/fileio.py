@@ -95,16 +95,17 @@ def read_text(path: str) -> str:
 
 
 def iter_lines(path: str, comments: bool = False, allow_gzip: bool = False):
-    """(line number, stripped line) for each non-blank line of a UTF-8 file;
-    with `comments`, also skips lines starting with '#'; with `allow_gzip`,
-    a file that starts with the gzip magic bytes is read decompressed."""
+    """(line number, stripped line) for each non-blank line of a UTF-8 file,
+    less a leading byte-order mark; with `comments`, also skips lines
+    starting with '#'; with `allow_gzip`, a file that starts with the gzip
+    magic bytes is read decompressed."""
     opener = open
     if allow_gzip:
         with open(path, "rb") as raw:
             if raw.read(2) == b"\x1f\x8b":
                 opener = gzip.open
     try:
-        with opener(path, "rt", encoding="utf-8") as handle:
+        with opener(path, "rt", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if stripped and not (comments and stripped.startswith("#")):

@@ -350,9 +350,10 @@ def query_ranking(index, query, top_k: int = 50) -> list[tuple[int, float]]:
     return rank(index, tokenize(query.text), limit=top_k)
 
 
-def scan_gazetteer_candidates(text: str, gazetteers):
-    """entities._gazetteer_candidates as one str.find scan per term."""
-    for term, etype in gazetteers.items():
+def scan_gazetteer_candidates(text: str, table: dict[str, str]):
+    """The gazetteer candidates of entities.recognize_builtin (those of
+    _word_candidates and _lead_candidates) as one str.find scan per term."""
+    for term, etype in table.items():
         pos = text.find(term)
         while pos != -1:
             end = pos + len(term)

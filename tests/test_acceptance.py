@@ -19,7 +19,7 @@ from oracles import brute_force_dominating_set
 from conftest import FIXTURE_DIR, make_sentence, mention_at
 from minprompt.corpus import ingest, segment_corpus
 from minprompt.domset import approx_dominating_set, approximation_bound, is_dominating_set
-from minprompt.entities import load_gazetteers, recognize_builtin
+from minprompt.entities import Gazetteer, load_gazetteers, recognize_builtin
 from minprompt.pipeline import load_config, run_pipeline
 from minprompt.qgen import (
     CLOZE_MASK,
@@ -381,9 +381,9 @@ def test_criterion_10_fixture_goldens(tmp_path):
         )
         documents = ingest(paths, "plain_text", "fixture")
         sentences = segment_corpus(documents)
-        gazetteers = load_gazetteers([GAZETTEER])
+        gazetteer = Gazetteer(load_gazetteers([GAZETTEER]))
         mentions = {
-            s.sentence_id: recognize_builtin(s, gazetteers) for s in sentences
+            s.sentence_id: recognize_builtin(s, gazetteer) for s in sentences
         }
         postings: dict[str, list[int]] = {}
         for sentence in sentences:

@@ -115,11 +115,13 @@ class TestBuiltinRecognizer:
 # Pieces for random texts and gazetteer terms: words with '_', digits and
 # non-ASCII letters, capitalized words (runs), numbers, number words, money,
 # percentages and dates (patterns), 'ſ' and the Kelvin sign (which casefold
-# to ASCII letters), a non-ASCII digit, and punctuation that terms may start
-# with or that joins words.
+# to ASCII letters), a non-ASCII digit, punctuation that terms may start
+# with or that joins words, and term leads that a regex character class must
+# escape or that are not ASCII.
 _PIECES = [
     "a", "b", "ab", "Ab", "a_b", "_", "x1", "1960", "5", "é", "Éa", "ß", "ﬁ",
     " ", " ", " ", ".", "-", "$", "£", "€", "%", "'", "’", "ſ", "\u212a", "٣",
+    "#", "(", "¡", "]", "^", "\\",
     "Twenty", "ONE", "ſix", "twenty-one", "May 5, 1999", "March", "3rd",
     "$1,000", "€2.5", "50%", "0.5%", "k1947",
 ]
@@ -137,7 +139,7 @@ def draw_gazetteer_and_text(data) -> tuple[dict[str, str], str]:
 def gazetteer_candidates(text: str, gazetteer: Gazetteer) -> list:
     words = entities_mod._word_candidates(text, gazetteer)
     found = [c for c in words if c[3] == entities_mod._GAZETTEER_RANK]
-    return sorted(found + list(entities_mod._fallback_candidates(text, gazetteer)))
+    return sorted(found + list(entities_mod._lead_candidates(text, gazetteer)))
 
 
 class TestGazetteerIndex:
@@ -163,15 +165,15 @@ class TestGazetteerIndex:
         table, text = draw_gazetteer_and_text(data)
         gaz = Gazetteer(table)
         candidates = entities_mod._word_candidates(text, gaz)
-        candidates.extend(entities_mod._fallback_candidates(text, gaz))
+        candidates.extend(entities_mod._lead_candidates(text, gaz))
         candidates.extend(entities_mod._pattern_candidates(text))
         assert all(start < end for start, end, _, _ in candidates)
 
     def test_overlapping_and_repeated_matches(self):
-        gaz = Gazetteer({"a a": "ORG", "a": "GPE", "-a": "PERSON"})
+        table = {"a a": "ORG", "a": "GPE", "-a": "PERSON"}
         text = "a a a -a"
-        found = gazetteer_candidates(text, gaz)
-        assert found == sorted(oracles.scan_gazetteer_candidates(text, gaz))
+        found = gazetteer_candidates(text, Gazetteer(table))
+        assert found == sorted(oracles.scan_gazetteer_candidates(text, table))
         assert [(s, e) for s, e, t, _ in found if t == "ORG"] == [(0, 3), (2, 5)]
         assert ("-a", "PERSON") in [(text[s:e], t) for s, e, t, _ in found]
 
@@ -181,11 +183,16 @@ class TestGazetteerIndex:
         found = [(text[s:e], t) for s, e, t, _ in gazetteer_candidates(text, gaz)]
         assert found == [("one", "ORG"), ("rock'n", "GPE"), ("n’roll", "PERSON")]
 
-    def test_matching_time_does_not_grow_with_terms_sharing_a_first_token(self):
+    @pytest.mark.parametrize(
+        "term, text",
+        [("The thing{}", "The thing7 was there."), ("#thing{}", "It was #thing7 there.")],
+        ids=["word_led", "punctuation_led"],
+    )
+    def test_matching_time_does_not_grow_with_terms_sharing_a_first_token(self, term, text):
         # interleaved passes so clock-speed drift hits both sizes alike
-        sentence = make_sentence(0, " ".join(["The thing7 was there."] * 10))
+        sentence = make_sentence(0, " ".join([text] * 10))
         sizes = (20, 20000)
-        gazetteers = [Gazetteer({f"The thing{i}": "ORG" for i in range(n)}) for n in sizes]
+        gazetteers = [Gazetteer({term.format(i): "ORG" for i in range(n)}) for n in sizes]
         best = [float("inf")] * len(sizes)
         for _ in range(5):
             for i, gaz in enumerate(gazetteers):
@@ -198,18 +205,20 @@ class TestGazetteerIndex:
                 gc.enable()
         assert best[1] < 10 * best[0], f"times={best}"
 
-    def test_mapping_behaves_like_the_dict(self, tmp_path):
+    def test_later_entries_win_and_terms_index_by_lead(self, tmp_path):
         first = tmp_path / "a.tsv"
         second = tmp_path / "b.tsv"
         first.write_text("Lakers\tORG\nLos Angeles\tGPE\nLakers\tMISC\n", encoding="utf-8")
         second.write_text("Los Angeles\tLOC\n.com\tORG\n", encoding="utf-8")
-        gaz = load_gazetteers([str(first), str(second)])
-        assert gaz == {"Lakers": "MISC", "Los Angeles": "LOC", ".com": "ORG"}
-        assert len(gaz) == 3
-        assert list(gaz) == ["Lakers", "Los Angeles", ".com"]
-        with pytest.raises(TypeError):
-            gaz["Lakers"] = "ORG"
-        assert gaz.fallback == [(".com", "ORG")]
+        table = load_gazetteers([str(first), str(second)])
+        assert type(table) is dict
+        assert list(table.items()) == [("Lakers", "MISC"), ("Los Angeles", "LOC"), (".com", "ORG")]
+        gaz = Gazetteer(table)
+        assert gaz.buckets == {
+            "Lakers": {6: {"Lakers": "MISC"}}, "Los": {11: {"Los Angeles": "LOC"}},
+            ".": {4: {".com": "ORG"}},
+        }
+        assert gaz.leads.pattern == r"[\.]"
 
 
 class TestResolveOverlaps:

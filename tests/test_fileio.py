@@ -11,7 +11,7 @@ import pytest
 
 import minprompt
 from conftest import make_sentence
-from minprompt.entities import load_sidecar
+from minprompt.entities import RecognizerConfig, load_sidecar, recognize
 from minprompt.errors import ParseError
 from minprompt.evaluation import evaluate_files
 from minprompt.fileio import (
@@ -86,6 +86,31 @@ class TestJsonLines:
             (2, "alpha"), (5, "gamma # not a comment")
         ]
         assert [n for n, _ in iter_lines(str(path))] == [1, 2, 4, 5]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a line file is not part of
+    its first line."""
+
+    LINES = "Lakers\tORG\n# teams\nLos Angeles\tGPE\n"
+
+    @pytest.mark.parametrize("opener", [open, gzip.open], ids=["plain", "gzip"])
+    def test_not_part_of_the_first_line(self, tmp_path, opener):
+        path = tmp_path / "gaz.tsv"
+        with opener(path, "wt", encoding="utf-8-sig") as handle:
+            handle.write(self.LINES)
+        assert list(iter_lines(str(path), comments=True, allow_gzip=True)) == [
+            (1, "Lakers\tORG"), (3, "Los Angeles\tGPE")
+        ]
+
+    def test_first_gazetteer_term_matches(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(self.LINES, encoding="utf-8-sig")
+        sentences = [make_sentence(0, "The Lakers won.")]
+        config = RecognizerConfig(gazetteer_paths=(str(path),))
+        assert [(m.surface, m.entity_type) for m in recognize(sentences, config)[0]] == [
+            ("Lakers", "ORG")
+        ]
 
 
 class TestJson:
