@@ -12,52 +12,36 @@ they are all selected in one step.
 Residuals are read, not stored, by sentgraph's `Residuals` (its module
 docstring states the formula) from the degree pass's counts, copied at
 the first pick, out of which each pick counts the nodes it newly covers.
+`Residuals` also marks them covered and chooses, by size, between numpy
+and plain Python for each read and each cover.
 
 When the pointer reaches a bucket, the residuals of all its uncovered
-nodes are read before any pick in it. The nodes below the level are
-re-pushed together into the buckets of their residuals (lazily, as Minoux
-1978 makes the greedy). The rest are at the level and are taken in id
-order: the first is picked, and each later one is re-read, because a pick
-in the bucket may have lowered it; it is picked if still at the level and
-re-pushed otherwise. Every pick is thus made on exact residuals and the
-selection is the eager greedy's. Queue work is O(V + E); the count
-updates are O(V * 2**5) plus the long rows' kernel calls; auxiliary state
-is O(V + total posting length) plus one kernel chunk.
-
-Most picks and buckets are small, and a numpy call costs about a
-microsecond whatever its size, a plain Python step on one count about a
-tenth of that. So a pick whose closed neighborhood holds at most `_SCALAR_PICK`
-nodes marks and counts out its newly covered nodes one by one
-(`Residuals.cover_each`), a larger one with array calls
-(`Residuals.cover`); a bucket of at most `_SCALAR_BUCKET` uncovered nodes
-is read node by node (`Residuals.of_each`), a larger one with one gather
-(`Residuals.of_nodes`); and an empty level costs no call at all. Both
-sides of each switch compute the same counts, so the sizes change the
-time, never the selection. On the select_hubs benchmark graph (seed 1),
-3225 of the 3922 picks and 259 of the 415 nonempty buckets stay in Python.
+nodes are read before any pick in it. The bucket is then walked in id
+order. A node below the level is re-pushed into the bucket of its
+residual (lazily, as Minoux 1978 makes the greedy). The first node at the
+level is picked; each later one is re-read, because a pick in the bucket
+may have lowered it, and is picked if still at the level and re-pushed
+otherwise. Every pick is thus made on exact residuals and the selection
+is the eager greedy's. Queue work is O(V + E); the count updates are
+O(V * 2**5) plus the long rows' kernel calls; auxiliary state is
+O(V + total posting length) plus one kernel chunk.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .fileio import COUNT, Field
-from .sentgraph import Residuals, SentenceGraph, _run_starts
+from .sentgraph import Residuals, SentenceGraph
 
 DEGREE_RESIDUAL = "residual"
 DEGREE_STATIC = "static"
 DEGREE_MODES = (DEGREE_RESIDUAL, DEGREE_STATIC)
-
-# The largest closed neighborhood a pick covers, and the most uncovered
-# nodes a bucket reads, node by node in plain Python (see the module
-# docstring); measured near the break-even against the 5-20 numpy calls of
-# the vectorized cover and gather on the select_hubs graph.
-_SCALAR_PICK = 64
-_SCALAR_BUCKET = 16
 
 
 @dataclass(frozen=True)
@@ -80,12 +64,17 @@ def approx_dominating_set(
     n = graph.node_count
     covered = np.zeros(n, dtype=bool)
     is_covered = memoryview(covered)
-    residuals = Residuals(graph, covered) if degree_mode == DEGREE_RESIDUAL else None
+    residuals = Residuals(graph, covered)
+    if degree_mode == DEGREE_RESIDUAL:
+        read_all, read = residuals.of_nodes, residuals.of
+    else:
+        degrees = graph.cached_degrees
+        read_all, read = (lambda nodes: degrees[nodes].tolist()), degrees.item
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
     by_degree = np.argsort(graph.cached_degrees, kind="stable")
     bucket_end = np.cumsum(np.bincount(graph.cached_degrees)).tolist() if n else [0]
-    pushed: dict[int, list[int]] = {}
+    pushed: defaultdict[int, list[int]] = defaultdict(list)
     uncovered = n
     selected: list[int] = []
     for level in range(len(bucket_end) - 1, 0, -1):
@@ -100,64 +89,25 @@ def approx_dominating_set(
         bucket = bucket[~covered[bucket]]
         if not bucket.size:
             continue
-        # nodes below the level wait in the bucket of their residual, those
-        # at 0 for the final step
-        if residuals is None:
-            candidates = bucket.tolist()
-        elif bucket.size <= _SCALAR_BUCKET:
-            nodes = bucket.tolist()
-            candidates = []
-            for v, value in zip(nodes, residuals.of_each(nodes)):
-                if value == level:
-                    candidates.append(v)
-                elif value:
-                    pushed.setdefault(value, []).append(v)
-        else:
-            values = residuals.of_nodes(bucket)
-            lower = values < level
-            for value, nodes in _grouped(values[lower], bucket[lower]):
-                if value:
-                    pushed.setdefault(value, []).extend(nodes.tolist())
-            candidates = bucket[~lower].tolist()
         picked = False
-        for v in candidates:
-            if is_covered[v]:
-                continue
-            if picked and residuals is not None:
-                # a pick in this bucket may have lowered v's residual
-                value = residuals.of(v)
-                if value != level:
-                    if value:
-                        pushed.setdefault(value, []).append(v)
+        for v, value in zip(bucket.tolist(), read_all(bucket)):
+            if value == level:
+                if is_covered[v]:
                     continue
-            picked = True
-            selected.append(v)
-            closed = graph.closed_neighborhood(v)
-            if closed.size <= _SCALAR_PICK:
-                newly = [w for w in closed.tolist() if not is_covered[w]]
-                for w in newly:
-                    is_covered[w] = True
-                uncovered -= len(newly)
-                if residuals is not None:
-                    residuals.cover_each(newly)
-            else:
-                newly = closed[~covered[closed]]
-                covered[newly] = True
-                uncovered -= newly.size
-                if residuals is not None:
-                    residuals.cover(newly)
+                if picked:
+                    # a pick in this bucket may have lowered v's residual
+                    value = read(v)
+            if value == level:
+                picked = True
+                selected.append(v)
+                uncovered -= residuals.cover(graph.closed_neighborhood(v))
+            elif value:
+                # below the level: it waits in the bucket of its residual
+                # (at 0, for the final step)
+                pushed[value].append(v)
     # every node still uncovered has no uncovered neighbor left
     chosen = np.sort(np.concatenate([np.array(selected, dtype=np.int64), np.flatnonzero(~covered)]))
     return DominatingSetResult(selected=tuple(chosen.tolist()), max_degree=graph.max_degree())
-
-
-def _grouped(values: np.ndarray, nodes: np.ndarray):
-    """(value, nodes with that value) pairs, by value."""
-    order = values.argsort()
-    values, nodes = values[order], nodes[order]
-    starts = np.flatnonzero(_run_starts(values)).tolist()
-    for a, b in zip(starts, starts[1:] + [values.size]):
-        yield int(values[a]), nodes[a:b]
 
 
 def is_dominating_set(graph: SentenceGraph, candidate) -> bool:

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 from .errors import ParseError, ValidationError
 
 # json.dumps builds a new encoder on every call that passes options
-_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
 class Field(NamedTuple):
@@ -165,4 +165,4 @@ def write_jsonl(records, path: str) -> None:
 
 
 def write_json(payload, path: str, indent: int | None = None) -> None:
-    write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n", path)
+    write_text(json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False) + "\n", path)

@@ -37,6 +37,7 @@ A line starting with `#` is a comment; a later `#` is part of the value.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -191,13 +192,22 @@ LOWER_BOUNDS = {
     "workers": (">=", 1),
 }
 
+
+def _finite(raw: str) -> float:
+    # inf or nan would pass on into the stages and into non-JSON artifacts
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 # field annotation, less " | None" (an empty value is None) -> (parse, expected);
 # parse raises KeyError or ValueError on a bad value
 CONFIG_PARSERS = {
     "str": (str, "text"),
     "bool": (lambda raw: {"true": True, "false": False}[raw.lower()], "true/false"),
     "int": (int, "integer"),
-    "float": (float, "number"),
+    "float": (_finite, "a finite number"),
     "tuple[str, ...]": (lambda raw: tuple(filter(None, map(str.strip, raw.split(",")))), "list"),
 }
 

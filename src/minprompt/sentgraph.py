@@ -28,6 +28,7 @@ posting length) plus one chunk.
 A node's degree is its residual before the first pick. `Residuals`
 counts, for the greedy (see domset), the neighbors of an uncovered node
 among the uncovered nodes U; the degree pass reads it with U every node.
+It also marks the nodes each pick covers.
 A node v whose key row K(v) has at most `_IE_ROW` keys (a short row)
 gets it by inclusion-exclusion: the sum over the nonempty subsets S of
 K(v) of (-1)**(|S| + 1) N_U(S), minus 1, plus L_U(v), where N_U(S) is
@@ -80,6 +81,11 @@ _SCOPE_SEP = "\x00"
 # Codes expanded per kernel chunk: bounds the kernel's working memory
 # (2**21 codes per chunk cost ~100 MB more peak RSS than 2**15 at no gain).
 _CHUNK_CODES = 1 << 15
+
+# The most nodes `Residuals.of_nodes` reads, and the largest neighborhood
+# `Residuals.cover` counts out, one by one (near the numpy break-even).
+_SCALAR_READ = 16
+_SCALAR_PICK = 64
 
 # Node rows up to this many keys get their degrees by inclusion-exclusion
 # over the 2**_IE_ROW - 1 subsets of their keys; longer rows use the kernel.
@@ -308,7 +314,7 @@ class SentenceGraph:
         degrees = np.zeros(self.node_count, dtype=np.int64)
         for lo in range(0, keyed.size, _CHUNK_CODES):
             nodes = keyed[lo : lo + _CHUNK_CODES]
-            degrees[nodes] = residuals.of_nodes(nodes)
+            degrees[nodes] = residuals._gather(nodes)
         return degrees
 
     def _subset_table(self) -> None:
@@ -426,15 +432,25 @@ class Residuals:
     """The residual degree of each uncovered node, read on demand from
     counts that a covered node updates (see the module docstring).
 
-    `of_nodes` and `cover` work on arrays, with a few numpy calls per call;
-    their scalar twins `of_each` and `cover_each` (and `of`, for one node)
-    go node by node through memoryviews, which is cheaper for a few nodes.
+    Small reads and covers go node by node through memoryviews, large ones
+    with numpy calls: a numpy call costs about a microsecond whatever its
+    size, a Python step on one count a tenth of that. `of_nodes` reads up
+    to `_SCALAR_READ` nodes one by one (the long rows among them in one
+    gather), more with one gather; `cover` counts out up to `_SCALAR_PICK`
+    nodes one by one, more with array calls; `of` reads one node. Both
+    sides give the same counts, so the sizes change the time, never a
+    residual. On the select_hubs graph (seed 1) the greedy covers 3225 of
+    its 3922 picks in Python and 697 with arrays, reads 259 of its 415
+    nonempty buckets in Python and 156 with a gather, and re-reads 4071
+    candidates with `of`.
+
     The counts start as the graph's own arrays, so the degree pass, which
     only reads, copies nothing; the first cover copies them."""
 
     def __init__(self, graph: SentenceGraph, covered: np.ndarray):
         self.graph = graph
         self.covered = covered
+        self._is_covered = memoryview(covered)
         # N_U(S): the uncovered short rows that hold the key subset S; the
         # uncovered long rows in each node's closed neighborhood, and
         # holding each key
@@ -459,8 +475,27 @@ class Residuals:
                 hits, members = hits.copy(), members.copy()
             self._bind(self.counts.copy(), hits, members)
 
-    def of_nodes(self, nodes: np.ndarray) -> np.ndarray:
+    def of_nodes(self, nodes: np.ndarray) -> list[int]:
         """The residuals of distinct uncovered nodes, each with a key."""
+        if nodes.size <= _SCALAR_READ:
+            return self._read_each(nodes.tolist())
+        return self._gather(nodes).tolist()
+
+    def of(self, v: int) -> int:
+        """The residual of one uncovered node with a key."""
+        value = self._counted(v)
+        return int(self._long(np.array([v]))[0]) if value is None else value
+
+    def _read_each(self, nodes: list[int]) -> list[int]:
+        # short rows one by one, the long rows among them in one gather
+        values = [self._counted(v) for v in nodes]
+        long = [v for v, value in zip(nodes, values) if value is None]
+        if long:
+            found = iter(self._long(np.array(long, dtype=np.int64)).tolist())
+            values = [next(found) if value is None else value for value in values]
+        return values
+
+    def _gather(self, nodes: np.ndarray) -> np.ndarray:
         starts = self.graph.subset_indptr[nodes]
         # a row with a key and no subsets is long
         short = self.graph.subset_indptr[nodes + 1] > starts
@@ -470,21 +505,6 @@ class Residuals:
         residuals[short] = self._short(nodes[short])
         residuals[~short] = self._long(nodes[~short])
         return residuals
-
-    def of(self, v: int) -> int:
-        """The residual of one uncovered node with a key."""
-        value = self._counted(v)
-        return int(self._long(np.array([v]))[0]) if value is None else value
-
-    def of_each(self, nodes: list[int]) -> list[int]:
-        """The scalar twin of `of_nodes`, for a few nodes: short rows one
-        by one, the long rows among them in one gather."""
-        values = [self._counted(v) for v in nodes]
-        long = [v for v, value in zip(nodes, values) if value is None]
-        if long:
-            found = iter(self._long(np.array(long, dtype=np.int64)).tolist())
-            values = [next(found) if value is None else value for value in values]
-        return values
 
     def _counted(self, v: int) -> int | None:
         """A short row's residual by inclusion-exclusion; None for a long row."""
@@ -523,9 +543,20 @@ class Residuals:
             _add_counts(outside, i[~self.covered[w]])
         return self.counts[hub] + self.long_members[hub] + outside - 1
 
-    def cover(self, newly: np.ndarray) -> None:
-        """Count out the nodes just covered; each shares a key with the pick."""
+    def cover(self, closed: np.ndarray) -> int:
+        """Mark covered the uncovered nodes of a pick's closed neighborhood
+        and count them out; return how many it newly covered."""
         self._own()
+        if closed.size > _SCALAR_PICK:
+            newly = closed[~self.covered[closed]]
+            self.covered[newly] = True
+            self._cover_array(newly)
+            return newly.size
+        newly = [w for w in closed.tolist() if not self._is_covered[w]]
+        self._cover_each(newly)
+        return len(newly)
+
+    def _cover_array(self, newly: np.ndarray) -> None:
         graph = self.graph
         starts = graph.subset_indptr[newly]
         widths = graph.subset_indptr[newly + 1] - starts
@@ -534,12 +565,11 @@ class Residuals:
         if graph.long_rows.size:
             self._cover_long(newly[widths == 0])
 
-    def cover_each(self, newly: list[int]) -> None:
-        """The scalar twin of `cover`, node by node, for a few nodes."""
-        self._own()
-        at, ids, counts = self._at, self._ids, self._counts
+    def _cover_each(self, newly: list[int]) -> None:
+        at, ids, counts, is_covered = self._at, self._ids, self._counts, self._is_covered
         long = []
         for w in newly:
+            is_covered[w] = True
             a, b = at[w], at[w + 1]
             if a == b:
                 long.append(w)

@@ -91,17 +91,17 @@ def test_greedy_records_one_neighborhood_span_on_either_cover_path():
     # node 0 holds the hub, with more members than a pick covers in plain
     # Python, so its pick covers with array calls; node `hub` then covers
     # its pair node by node. Each pick records one neighborhood span.
-    hub = domset._SCALAR_PICK + 1
+    hub = sentgraph._SCALAR_PICK + 1
     postings = {"hub": list(range(hub)), "pair": [hub, hub + 1]}
     graph = sentgraph.SentenceGraph.from_postings(hub + 2, postings)
     tracer = tracing.Tracer()
     tracer.install(minprompt)
     try:
         with (
-            mock.patch.object(sentgraph.Residuals, "cover", autospec=True,
-                              side_effect=sentgraph.Residuals.cover) as arrays,
-            mock.patch.object(sentgraph.Residuals, "cover_each", autospec=True,
-                              side_effect=sentgraph.Residuals.cover_each) as scalar,
+            mock.patch.object(sentgraph.Residuals, "_cover_array", autospec=True,
+                              side_effect=sentgraph.Residuals._cover_array) as arrays,
+            mock.patch.object(sentgraph.Residuals, "_cover_each", autospec=True,
+                              side_effect=sentgraph.Residuals._cover_each) as scalar,
         ):
             result = domset.approx_dominating_set(graph)
     finally:

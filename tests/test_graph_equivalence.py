@@ -17,7 +17,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import oracles
-from minprompt import domset, sentgraph
+from minprompt import sentgraph
 from minprompt.domset import approx_dominating_set, is_dominating_set
 from minprompt.errors import ValidationError
 from minprompt.sentgraph import SentenceGraph
@@ -138,19 +138,21 @@ def test_residuals_stay_exact_as_nodes_are_covered(case, data):
         start = [a.copy() for a in (graph.subset_counts, graph.long_hits, graph.long_members)]
         for v in picks:
             closed = graph.closed_neighborhood(v)
-            newly = closed[~covered[closed]]
-            covered[newly] = True
+            newly = set(closed[~covered[closed]].tolist())
+            before = covered.copy()
             # the array cover or its scalar twin, pick by pick
-            if data.draw(st.booleans()):
-                residuals.cover(newly)
-            else:
-                residuals.cover_each(newly.tolist())
+            size = data.draw(st.sampled_from([0, closed.size]))
+            with mock.patch.object(sentgraph, "_SCALAR_PICK", size):
+                assert residuals.cover(closed) == len(newly)
+            assert set(np.flatnonzero(covered != before).tolist()) == newly
+            assert covered[closed].all()
         left = np.array([v for v in keyed if not covered[v]], dtype=np.int64)
         oracle = oracles.DictGraph(n, postings)
         expected = [int((~covered[oracle.closed_neighborhood(v)]).sum()) - 1 for v in left.tolist()]
-        assert residuals.of_nodes(left).tolist() == expected
+        for size in (0, left.size):
+            with mock.patch.object(sentgraph, "_SCALAR_READ", size):
+                assert residuals.of_nodes(left) == expected
         assert [residuals.of(v) for v in left.tolist()] == expected
-        assert residuals.of_each(left.tolist()) == expected
         # the first cover copied the counts: the graph's stay as they were
         ends = (graph.subset_counts, graph.long_hits, graph.long_members)
         assert all(np.array_equal(a, b) for a, b in zip(start, ends))
@@ -210,8 +212,8 @@ def test_array_and_scalar_paths_each_match_heap_oracle(case, mode):
     n, postings = case
     graph = SentenceGraph.from_postings(n, postings)
     expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings), degree_mode=mode)
-    for size, unused in ((0, ("cover_each", "of_each")), (n + 1, ("cover", "of_nodes"))):
-        with mock.patch.multiple(domset, _SCALAR_PICK=size, _SCALAR_BUCKET=size):
+    for size, unused in ((0, ("_cover_each", "_read_each")), (n + 1, ("_cover_array", "_gather"))):
+        with mock.patch.multiple(sentgraph, _SCALAR_PICK=size, _SCALAR_READ=size):
             with mock.patch.multiple(
                 sentgraph.Residuals, **{name: mock.DEFAULT for name in unused}
             ) as other_side:
@@ -378,18 +380,18 @@ class TestBatchedGreedy:
     def test_small_picks_and_buckets_make_no_array_calls(self):
         # the hub graph makes 629 picks and reads 472 buckets with
         # uncovered nodes. Measured: only 256 of the picks cover more than
-        # domset._SCALAR_PICK nodes with array calls, and only 193 of the
-        # buckets hold more than domset._SCALAR_BUCKET nodes and are
+        # sentgraph._SCALAR_PICK nodes with array calls, and only 193 of the
+        # buckets hold more than sentgraph._SCALAR_READ nodes and are
         # gathered; the rest stay in plain Python. The bounds sit a little
         # above those counts and below half the picks and buckets.
         graph = SentenceGraph.from_postings(*self.hub_postings())
         with (
             mock.patch.object(SentenceGraph, "closed_neighborhood", autospec=True,
                               side_effect=SentenceGraph.closed_neighborhood) as picks,
-            mock.patch.object(sentgraph.Residuals, "cover", autospec=True,
-                              side_effect=sentgraph.Residuals.cover) as covers,
-            mock.patch.object(sentgraph.Residuals, "of_nodes", autospec=True,
-                              side_effect=sentgraph.Residuals.of_nodes) as gathers,
+            mock.patch.object(sentgraph.Residuals, "_cover_array", autospec=True,
+                              side_effect=sentgraph.Residuals._cover_array) as covers,
+            mock.patch.object(sentgraph.Residuals, "_gather", autospec=True,
+                              side_effect=sentgraph.Residuals._gather) as gathers,
         ):
             approx_dominating_set(graph)
         assert picks.call_count == 629

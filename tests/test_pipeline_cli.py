@@ -168,7 +168,7 @@ class TestConfig:
             load_config(str(cfg))
 
     def test_lambda_must_be_positive(self, tmp_path):
-        for value in ("0", "-1", "nan"):
+        for value in ("0", "-1", "nan", "inf", "1e999"):
             path = write_fixture_config(tmp_path, lambda_weight=value)
             with pytest.raises(ValidationError, match="lambda"):
                 load_config(path).validate()
@@ -250,6 +250,17 @@ class TestConfig:
         assert main(["run", "--config", path]) == 2
         assert key in capsys.readouterr().err
         assert not os.path.exists(config.output_dir)
+
+    @pytest.mark.parametrize("key, value", [("service_timeout", "inf"), ("lambda_weight", "1e999")])
+    def test_non_finite_float_flag_exits_2(self, tmp_path, capsys, key, value):
+        service = {"recognizer_mode": "service", "service_endpoint": "http://127.0.0.1:9/ner"}
+        path = write_fixture_config(tmp_path, **service)
+        out = str(tmp_path / "never")
+        flag = "--" + key.replace("_", "-")
+        assert main(["run", "--config", path, flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}: expected a finite number, got {value!r}" in err
+        assert not os.path.exists(out)
 
     def test_sidecar_mode_with_retrieval_needs_a_support_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "mentions.jsonl"
