@@ -1,33 +1,15 @@
-"""UTF-8 byte-offset helpers.
+"""Code-point spans to UTF-8 byte offsets.
 
 Every span in this package (sentence spans into documents, mention spans
 into sentences) is a pair of UTF-8 byte offsets. Python strings index by
-code point, so these helpers translate between the two views. For ASCII
-text the mapping is the identity and costs nothing.
+code point, so `byte_spans` translates the spans that the segmenter and
+the recognizer find. For ASCII text the mapping is the identity and costs
+nothing.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-
-
-def byte_length(text: str) -> int:
-    return len(text.encode("utf-8"))
-
-
-def byte_slice(text: str, start: int, end: int) -> str:
-    """Slice `text` by byte offsets. Offsets must land on UTF-8 boundaries."""
-    data = text.encode("utf-8")
-    if not (0 <= start <= end <= len(data)):
-        raise ValidationError(
-            f"byte span ({start}, {end}) out of bounds for text of {len(data)} bytes"
-        )
-    try:
-        return data[start:end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"byte span ({start}, {end}) does not land on UTF-8 boundaries"
-        ) from exc
 
 
 def byte_spans(text: str, spans):

@@ -64,7 +64,6 @@ from .fileio import (
     write_jsonl,
     write_text,
 )
-from .offsets import byte_length
 from .qgen import WhPriors
 
 CONFIG_ECHO_NAME = "effective_config.cfg"
@@ -125,6 +124,8 @@ class PipelineConfig:
                 raise ValidationError(f"{key} must be {op} {bound}")
         if not self.input_paths:
             raise ValidationError("input_paths is required")
+        if not self.mask_token:
+            raise ValidationError("mask_token must not be empty")
         _check_list_values(self)
         self.recognizer_config().validate()
         if self.retrieval_enabled and not self.support_paths:
@@ -381,7 +382,7 @@ def read_sentences(path: str, documents: list[Document] | None = None) -> list[S
         ),
         "end": Field(
             int,
-            lambda v, r: v - r["start"] == byte_length(r["text"]),
+            lambda v, r: v - r["start"] == len(r["text"].encode("utf-8")),
             "start plus the UTF-8 length of text",
         ),
     }

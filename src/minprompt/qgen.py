@@ -16,12 +16,12 @@ import logging
 import random
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .corpus import ORIGIN_CORPUS, ORIGIN_RETRIEVED, Document, Sentence
 from .entities import ENTITY_TYPES, EntityMention, wh_family
 from .errors import ValidationError
 from .fileio import read_json, write_jsonl
-from .offsets import byte_length, byte_slice
 
 log = logging.getLogger(__name__)
 
@@ -44,26 +44,13 @@ class QaPair:
     question: str
     answer: str
     context: str
-    style: str
-    source_sentence_id: int
     # Byte span of the chosen entity occurrence inside the context, when known.
     context_answer_span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class Provenance:
-    dataset_id: str
-    doc_id: str
-    sentence_id: int
-
-
-@dataclass(frozen=True)
-class AugmentedSample:
+class Prompt(NamedTuple):
     input: str
     target: str
-    qa: QaPair
-    lambda_weight: float
-    provenance: Provenance
 
 
 def _is_prior(entry) -> bool:
@@ -145,27 +132,27 @@ def sample_wh_bigram(priors: WhPriors, answer_type: str, rng_seed: int) -> str:
     return entries[-1][0]
 
 
+def _split_at(text: str, answer: EntityMention) -> tuple[str, str]:
+    """The text before and after the answer's byte span, which must hold
+    the answer's surface and land on UTF-8 character boundaries."""
+    data = text.encode("utf-8")
+    start, end = answer.char_span
+    try:
+        if not 0 <= start <= end <= len(data) or data[start:end].decode("utf-8") != answer.surface:
+            raise ValueError
+        return data[:start].decode("utf-8"), data[end:].decode("utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        raise ValidationError(
+            f"mention {answer.surface!r} at {answer.char_span} does not belong to "
+            f"its sentence of {len(data)} bytes"
+        ) from None
+
+
 def split_fragments(sentence_text: str, answer: EntityMention) -> tuple[str, str]:
     """Text before the answer span, and text after it with the final
     punctuation stripped; both trimmed."""
-    start, end = answer.char_span
-    if not 0 <= start <= end <= byte_length(sentence_text):
-        raise ValidationError(
-            f"answer span {answer.char_span} out of bounds for sentence"
-        )
-    fragment_a = byte_slice(sentence_text, 0, start).strip()
-    fragment_b = byte_slice(sentence_text, end, byte_length(sentence_text)).strip()
-    fragment_b = fragment_b.rstrip(_SENTENCE_FINAL).strip()
-    return fragment_a, fragment_b
-
-
-def _check_answer_mention(sentence: Sentence, answer: EntityMention) -> None:
-    start, end = answer.char_span
-    if end > byte_length(sentence.text) or byte_slice(sentence.text, start, end) != answer.surface:
-        raise ValidationError(
-            f"mention {answer.surface!r} at {answer.char_span} does not belong to "
-            f"sentence {sentence.sentence_id}"
-        )
+    fragment_a, fragment_b = _split_at(sentence_text, answer)
+    return fragment_a.strip(), fragment_b.strip().rstrip(_SENTENCE_FINAL).strip()
 
 
 def generate_cloze(
@@ -176,18 +163,8 @@ def generate_cloze(
 ) -> QaPair:
     """Replace the answer span with "[MASK]"; the span-targeted edit keeps
     the round trip byte-exact even with repeated mentions."""
-    _check_answer_mention(sentence, answer)
-    data = sentence.text.encode("utf-8")
-    start, end = answer.char_span
-    question = (data[:start] + CLOZE_MASK.encode("utf-8") + data[end:]).decode("utf-8")
-    return QaPair(
-        question=question,
-        answer=answer.surface,
-        context=context,
-        style=STYLE_CLOZE,
-        source_sentence_id=sentence.sentence_id,
-        context_answer_span=context_answer_span,
-    )
+    before, after = _split_at(sentence.text, answer)
+    return QaPair(before + CLOZE_MASK + after, answer.surface, context, context_answer_span)
 
 
 def generate_wh(
@@ -202,7 +179,6 @@ def generate_wh(
     """Template question: wh-bigram + fragment B + fragment A + "?"."""
     if order not in TEMPLATE_ORDERS:
         raise ValidationError(f"unknown template order {order!r}")
-    _check_answer_mention(sentence, answer)
     fragment_a, fragment_b = split_fragments(sentence.text, answer)
     bigram = sample_wh_bigram(priors, answer.entity_type, seed)
     if order == ORDER_WH_B_A:
@@ -210,65 +186,29 @@ def generate_wh(
     else:
         parts = [bigram, fragment_a, fragment_b]
     question = " ".join(" ".join(part for part in parts if part).split()) + "?"
-    return QaPair(
-        question=question,
-        answer=answer.surface,
-        context=context,
-        style=STYLE_WH,
-        source_sentence_id=sentence.sentence_id,
-        context_answer_span=context_answer_span,
-    )
+    return QaPair(question, answer.surface, context, context_answer_span)
 
 
-def _locate_in_context(qa: QaPair) -> tuple[int, int] | None:
-    """Byte span of the chosen entity occurrence inside the context."""
-    context_bytes = qa.context.encode("utf-8")
-    answer_bytes = qa.answer.encode("utf-8")
-    span = qa.context_answer_span
-    if span is not None:
-        start, end = span
-        if 0 <= start <= end <= len(context_bytes) and context_bytes[start:end] == answer_bytes:
-            return span
-    pos = context_bytes.find(answer_bytes)
-    if pos == -1:
-        return None
-    return pos, pos + len(answer_bytes)
-
-
-def format_prompt(
-    qa: QaPair,
-    mask_token: str = DEFAULT_MASK_TOKEN,
-    lambda_weight: float = 1.0,
-    provenance: Provenance | None = None,
-) -> AugmentedSample | None:
+def format_prompt(qa: QaPair, mask_token: str = DEFAULT_MASK_TOKEN) -> Prompt | None:
     """Render "Question: .. Answer: .. Context: .." input/target strings.
 
-    The input masks both the answer slot and the chosen entity occurrence
-    in the context; the target restores them. Returns None (with a logged
-    reason) when the answer cannot be located in the context.
+    The input masks both the answer slot and one occurrence of the answer
+    in the context: the one at `context_answer_span` if that span holds the
+    answer, else the first. The target restores both. Returns None when the
+    context does not hold the answer.
     """
-    span = _locate_in_context(qa)
-    if span is None:
-        log.info(
-            "skipping sample for sentence %d: answer %r not found in context",
-            qa.source_sentence_id,
-            qa.answer,
-        )
-        return None
-    context_bytes = qa.context.encode("utf-8")
-    masked_context = (
-        context_bytes[: span[0]] + mask_token.encode("utf-8") + context_bytes[span[1] :]
-    ).decode("utf-8")
-    prompt_input = f"Question: {qa.question} Answer: {mask_token} Context: {masked_context}"
-    target = f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}"
-    if provenance is None:
-        provenance = Provenance("", "", qa.source_sentence_id)
-    return AugmentedSample(
-        input=prompt_input,
-        target=target,
-        qa=qa,
-        lambda_weight=lambda_weight,
-        provenance=provenance,
+    context = qa.context.encode("utf-8")
+    answer = qa.answer.encode("utf-8")
+    start, end = qa.context_answer_span or (-1, -1)
+    if not (0 <= start <= end <= len(context) and context[start:end] == answer):
+        start = context.find(answer)
+        if start == -1:
+            return None
+        end = start + len(answer)
+    masked_context = (context[:start] + mask_token.encode("utf-8") + context[end:]).decode("utf-8")
+    return Prompt(
+        f"Question: {qa.question} Answer: {mask_token} Context: {masked_context}",
+        f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}",
     )
 
 
@@ -292,8 +232,9 @@ def assemble_dataset(
     order: str = ORDER_WH_B_A,
     query_of: dict[int, int] | None = None,
     dataset_id: str = "",
-) -> list[AugmentedSample]:
-    """One sample per (selected sentence, mention, style), deduplicated.
+) -> list[dict]:
+    """The `samples.jsonl` records: one per (selected sentence, mention,
+    style), deduplicated.
 
     In the context, a corpus sentence's answer is its own mention. A
     retrieved sentence's is its key's first mention in the document of its
@@ -301,8 +242,9 @@ def assemble_dataset(
     retrieved sentence).
 
     Output order is deterministic: sentence id, then mention offset, then
-    style order as configured. Samples whose QA pair breaks a template
-    invariant are skipped with a logged reason rather than failing the run.
+    style order as configured. A sample that breaks a template invariant,
+    or repeats an earlier one, is skipped with a logged reason rather than
+    failing the run.
     """
     for style in styles:
         if style not in STYLES:
@@ -316,8 +258,8 @@ def assemble_dataset(
         if query_of and s.origin == ORIGIN_CORPUS:
             for m in mentions.get(s.sentence_id, ()):
                 first_span.setdefault((s.doc_id, m.normalized_key), _span_in_document(s, m))
-    samples: list[AugmentedSample] = []
-    seen: set[tuple[str, str]] = set()
+    samples: list[dict] = []
+    seen: set[Prompt] = set()
     for sid in sorted(selected):
         sentence = by_id[sid]
         sentence_mentions = sorted(mentions.get(sid, ()), key=lambda m: m.char_span)
@@ -352,39 +294,36 @@ def assemble_dataset(
                             mention.surface,
                         )
                         continue
-                # doc_id always names the document whose text is the context.
-                provenance = Provenance(
-                    dataset_id=dataset_id,
-                    doc_id=context_doc,
-                    sentence_id=sid,
+                prompt = format_prompt(qa, mask_token)
+                if prompt is None:
+                    log.info(
+                        "skipping sample for sentence %d: answer %r not found in context",
+                        sid,
+                        qa.answer,
+                    )
+                    continue
+                if prompt in seen:
+                    log.info("skipping sample for sentence %d: duplicate of an earlier sample", sid)
+                    continue
+                seen.add(prompt)
+                samples.append(
+                    {
+                        "input": prompt.input,
+                        "target": prompt.target,
+                        "question": qa.question,
+                        "answer": qa.answer,
+                        "context": context,
+                        "style": style,
+                        "dataset_id": dataset_id,
+                        # always the document whose text is the context
+                        "doc_id": context_doc,
+                        "sentence_id": sid,
+                        "lambda": lambda_weight,
+                    }
                 )
-                sample = format_prompt(qa, mask_token, lambda_weight, provenance)
-                if sample is None:
-                    continue
-                key = (sample.input, sample.target)
-                if key in seen:
-                    continue
-                seen.add(key)
-                samples.append(sample)
     return samples
 
 
-def sample_to_json(sample: AugmentedSample) -> dict:
-    """JSONL record for one training sample."""
-    return {
-        "input": sample.input,
-        "target": sample.target,
-        "question": sample.qa.question,
-        "answer": sample.qa.answer,
-        "context": sample.qa.context,
-        "style": sample.qa.style,
-        "dataset_id": sample.provenance.dataset_id,
-        "doc_id": sample.provenance.doc_id,
-        "sentence_id": sample.provenance.sentence_id,
-        "lambda": sample.lambda_weight,
-    }
-
-
-def write_samples_jsonl(samples: list[AugmentedSample], path: str) -> None:
+def write_samples_jsonl(samples: list[dict], path: str) -> None:
     """UTF-8 JSON Lines, newline separated, no trailing blank line."""
-    write_jsonl((sample_to_json(s) for s in samples), path)
+    write_jsonl(samples, path)

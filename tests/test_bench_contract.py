@@ -1,38 +1,47 @@
-"""The benchmark's tracer still finds what it wraps in the package.
+"""The benchmark's tracer still finds what it wraps in the package, and
+the program still writes the outputs whose digests the benchmark recorded.
 
 perfbench/tracing.py wraps package attributes by name, and derives
 entities.us_per_sentence from one recognize_builtin span per sentence and
-domset.neighborhood_calls from one closed_neighborhood span per pick. It
-is loaded here by path under a module name of its own, because the
-benchmark's tests have a conftest of their own and cannot be collected
-together with these.
+domset.neighborhood_calls from one closed_neighborhood span per pick. Its
+modules are loaded here by path under module names of their own, because
+the benchmark's tests have a conftest of their own and cannot be collected
+together with these. Nothing here writes into perfbench/.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 from unittest import mock
+
+import pytest
 
 import minprompt
 import minprompt.cli  # TRACED names the cli module, which the package does not import
-from conftest import make_sentence
-from minprompt import domset, entities, sentgraph
+from conftest import make_sentence, mention_at
+from minprompt import domset, entities, qgen, sentgraph
+from minprompt.corpus import Document
 from minprompt.entities import RecognizerConfig
 
-TRACING_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
+PERFBENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
 )
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("minprompt_bench_tracing", TRACING_PATH)
+def load_bench_module(name):
+    path = os.path.join(PERFBENCH_DIR, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"minprompt_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass resolves its module's annotations there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_bench_module("tracing")
+workloads = load_bench_module("workloads")
+check = load_bench_module("check")
 
 
 def test_every_traced_attribute_exists():
@@ -111,3 +120,39 @@ def test_greedy_records_one_neighborhood_span_on_either_cover_path():
     neighborhoods = [span for span in tracer.spans if span[0] == "domset.closed_neighborhood"]
     assert len(neighborhoods) == 2
     assert tracing.layer_metrics(tracer.spans, tracer.counts, 0)["domset.neighborhood_calls"] == 2
+
+
+def test_assemble_records_samples_and_yield():
+    # three selected mentions in two styles make six slots; the wh question
+    # of the first "Paris" holds the second, so it is skipped. Sentence 2
+    # is not selected and adds no slot.
+    texts = ["The Lakers moved to Los Angeles in 1960.", "Paris loves Paris.", "Boston won."]
+    sentences = [make_sentence(i, text, doc_id=f"d{i}") for i, text in enumerate(texts)]
+    documents = {s.doc_id: Document(s.doc_id, "", s.text) for s in sentences}
+    mentions = {
+        0: [mention_at(texts[0], "Lakers", "ORG"), mention_at(texts[0], "Los Angeles", "GPE")],
+        1: [mention_at(texts[1], "Paris", "GPE")],
+        2: [mention_at(texts[2], "Boston", "GPE")],
+    }
+    tracer = tracing.Tracer()
+    tracer.install(minprompt)
+    try:
+        result = qgen.assemble_dataset(
+            [0, 1], sentences, mentions, documents, qgen.WhPriors.default(),
+            styles=("cloze", "wh"),
+        )
+    finally:
+        tracer.restore()
+    assert len(result) == 5
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 0)
+    assert metrics["qgen.samples"] == len(result)
+    assert metrics["qgen.sample_yield"] == len(result) / (3 * 2)
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_seed_1_outputs_match_the_recorded_digests(tmp_path, name):
+    workload = workloads.generate(name, 1, str(tmp_path))
+    assert minprompt.cli.main(workload.argv()) == 0
+    recorded = check.recorded_digests(workload)
+    assert sorted(recorded) == sorted(check.CHECKED_FILES[workload.command])
+    assert check.file_digests(workload) == recorded

@@ -173,6 +173,21 @@ class TestConfig:
             with pytest.raises(ValidationError, match="lambda"):
                 load_config(path).validate()
 
+    def test_mask_token_must_not_be_empty(self, tmp_path, capsys):
+        # an empty token would leave the answer slot blank and delete the
+        # answer from the context
+        path = write_fixture_config(tmp_path, mask_token="")
+        with pytest.raises(ValidationError, match="mask_token"):
+            load_config(path).validate()
+        for command in ("run", *STAGE_COMMANDS):
+            assert main([command, "--config", path]) == 2, command
+            assert "mask_token" in capsys.readouterr().err
+        # a flag value of blanks is stripped to the same empty token
+        blank = write_fixture_config(tmp_path, "blank")
+        assert main(["run", "--config", blank, "--mask-token", "  "]) == 2
+        assert "mask_token" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_missing_path_rejected(self, tmp_path):
         path = write_fixture_config(tmp_path, stoplist_path="/nowhere/stop.txt")
         with pytest.raises(ValidationError, match="does not exist"):

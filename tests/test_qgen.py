@@ -56,8 +56,11 @@ class TestSplitFragments:
 
     def test_out_of_bounds_span_rejected(self):
         bogus = EntityMention("x", "MISC", (90, 95), "x")
-        with pytest.raises(ValidationError):
-            split_fragments("short", bogus)
+        # (4, 5) splits the two bytes of "é"
+        mid_character = EntityMention("é", "MISC", (4, 5), "e")
+        for text, mention in (("short", bogus), ("Café au lait", mid_character)):
+            with pytest.raises(ValidationError):
+                split_fragments(text, mention)
 
 
 class TestCloze:
@@ -66,7 +69,6 @@ class TestCloze:
         qa = generate_cloze(sentence, la_mention(), LAKERS)
         assert qa.question == "The Lakers moved to [MASK] in 1960."
         assert qa.answer == "Los Angeles"
-        assert qa.style == "cloze"
 
     def test_answer_equal_to_whole_sentence(self):
         text = "Los Angeles"
@@ -88,8 +90,10 @@ class TestCloze:
 
     def test_foreign_mention_rejected(self):
         sentence = make_sentence(0, "A short one.")
-        with pytest.raises(ValidationError):
-            generate_cloze(sentence, la_mention(), "ctx")
+        # out of bounds, and a span that holds other text
+        for mention in (la_mention(), EntityMention("Lakers", "ORG", (2, 7), "lakers")):
+            with pytest.raises(ValidationError):
+                generate_cloze(sentence, mention, "ctx")
 
 
 class TestWhSampling:
@@ -228,11 +232,9 @@ class TestFormatPrompt:
         # answer slot and the masked context occurrence both use the token
         assert sample.input.count("[MASK]") == 2
 
-    def test_answer_missing_from_context_skips(self, caplog):
+    def test_answer_missing_from_context_skips(self):
         qa = generate_cloze(make_sentence(0, LAKERS), la_mention(), "Totally unrelated context.")
-        with caplog.at_level("INFO", logger="minprompt.qgen"):
-            assert format_prompt(qa) is None
-        assert any("not found in context" in r.message for r in caplog.records)
+        assert format_prompt(qa) is None
 
     def test_fallback_to_first_occurrence_search(self):
         context = "Report: Los Angeles grew. Los Angeles grew again."
@@ -291,7 +293,7 @@ class TestAssembleDataset:
             [0], sentences, mentions, documents, WhPriors.default(), styles=("wh",)
         )
         assert len(samples) == 3
-        assert [s.qa.answer for s in samples] == ["Lakers", "Los Angeles", "1960"]
+        assert [s["answer"] for s in samples] == ["Lakers", "Los Angeles", "1960"]
 
     def test_empty_selection_empty_dataset(self):
         documents, sentences, mentions = simple_corpus()
@@ -321,7 +323,7 @@ class TestAssembleDataset:
         samples = assemble_dataset(
             [2], sentences, mentions, documents, WhPriors.default(), styles=("cloze", "wh")
         )
-        assert [s.qa.style for s in samples] == ["cloze", "wh", "cloze", "wh"]
+        assert [s["style"] for s in samples] == ["cloze", "wh", "cloze", "wh"]
 
     def test_wh_question_containing_answer_skipped(self, caplog):
         text = "Paris loves Paris."
@@ -344,7 +346,7 @@ class TestAssembleDataset:
             samples = assemble_dataset(
                 [0], sentences, mentions, documents, WhPriors.default(), styles=("cloze", "wh")
             )
-        assert [s.qa.style for s in samples] == ["wh"]
+        assert [s["style"] for s in samples] == ["wh"]
         assert any(
             r.getMessage() == "skipping cloze for sentence 0: text already contains [MASK]"
             for r in caplog.records
@@ -374,12 +376,11 @@ class TestAssembleDataset:
             [2], sentences, mentions, documents, WhPriors.default(), styles=("cloze",),
             query_of={2: 1},
         )
-        assert [s.qa.answer for s in samples] == ["Los Angeles", "Lakers"]
+        assert [s["answer"] for s in samples] == ["Los Angeles", "Lakers"]
         for sample, (start, end) in zip(samples, [(41, 52), (25, 31)]):
-            assert sample.qa.context_answer_span == (start, end)
-            assert sample.input.endswith(f"Context: {doc[:start]}<mask>{doc[end:]}")
-            assert sample.qa.context == doc
-            assert sample.provenance.doc_id == "doc_a"
+            assert sample["input"].endswith(f"Context: {doc[:start]}<mask>{doc[end:]}")
+            assert sample["context"] == doc
+            assert sample["doc_id"] == "doc_a"
 
     def test_retrieved_answer_spelled_otherwise_in_the_query_document_skipped(self, caplog):
         # the key's first mention in the context reads "Lakers", not the
@@ -395,8 +396,10 @@ class TestAssembleDataset:
                 [3], sentences + [retrieved], mentions, documents, WhPriors.default(),
                 styles=("cloze",), query_of={3: 0},
             )
-        assert [s.qa.answer for s in samples] == ["Los Angeles"]
-        assert samples[0].qa.context_answer_span == (20, 31)
+        assert [s["answer"] for s in samples] == ["Los Angeles"]
+        assert samples[0]["input"].endswith(
+            "Context: The Lakers moved to <mask> in 1960. The Celtics stayed in Boston."
+        )
         assert any("'LAKERS' not found in context" in r.getMessage() for r in caplog.records)
 
     def test_lambda_recorded(self):
@@ -404,7 +407,7 @@ class TestAssembleDataset:
         samples = assemble_dataset(
             [0], sentences, mentions, documents, WhPriors.default(), lambda_weight=0.5
         )
-        assert all(s.lambda_weight == 0.5 for s in samples)
+        assert all(s["lambda"] == 0.5 for s in samples)
 
 
 class TestJsonl:
