@@ -56,20 +56,23 @@ def approx_dominating_set(
 ) -> DominatingSetResult:
     """Greedy selection of a dominating set over the posting-list graph.
 
-    degree_mode='static' never updates priorities after the initial build
-    (comparison variant).
+    degree_mode='static' (a comparison variant) never updates priorities:
+    one sweep by static degree, ties by id, picks each node no earlier
+    pick covered.
     """
     if degree_mode not in DEGREE_MODES:
         raise ValidationError(f"unknown degree mode {degree_mode!r}")
     n = graph.node_count
     covered = np.zeros(n, dtype=bool)
     is_covered = memoryview(covered)
+    if degree_mode == DEGREE_STATIC:
+        selected = []
+        for v in np.argsort(-graph.cached_degrees, kind="stable").tolist():
+            if not is_covered[v]:
+                selected.append(v)
+                covered[graph.closed_neighborhood(v)] = True
+        return DominatingSetResult(selected=tuple(sorted(selected)), max_degree=graph.max_degree())
     residuals = Residuals(graph, covered)
-    if degree_mode == DEGREE_RESIDUAL:
-        read_all, read = residuals.of_nodes, residuals.of
-    else:
-        degrees = graph.cached_degrees
-        read_all, read = (lambda nodes: degrees[nodes].tolist()), degrees.item
     # bucket d holds the nodes of static degree d in id order, then the
     # re-pushed nodes whose residual fell to d
     by_degree = np.argsort(graph.cached_degrees, kind="stable")
@@ -90,13 +93,13 @@ def approx_dominating_set(
         if not bucket.size:
             continue
         picked = False
-        for v, value in zip(bucket.tolist(), read_all(bucket)):
+        for v, value in zip(bucket.tolist(), residuals.of_nodes(bucket)):
             if value == level:
                 if is_covered[v]:
                     continue
                 if picked:
                     # a pick in this bucket may have lowered v's residual
-                    value = read(v)
+                    value = residuals.of(v)
             if value == level:
                 picked = True
                 selected.append(v)

@@ -483,7 +483,7 @@ def stage_retrieve(
     extended = list(sentences)
     extended_mentions = dict(mentions)
     query_of: dict[int, int] = {}
-    seen_support: set[tuple[str, tuple[int, int]]] = set()
+    seen_support: set[int] = set()
     for sentence in sentences:
         sentence_mentions = mentions.get(sentence.sentence_id, ())
         if not sentence_mentions:
@@ -501,22 +501,11 @@ def stage_retrieve(
                 ranking=ranking,
                 constraints=constraints,
             )
-            if hit is None:
+            if hit is None or hit.sentence_id in seen_support:
                 continue
-            identity = (hit.doc_id, hit.char_span)
-            if identity in seen_support:
-                continue
-            seen_support.add(identity)
+            seen_support.add(hit.sentence_id)
             new_id = len(extended)
-            extended.append(
-                Sentence(
-                    sentence_id=new_id,
-                    doc_id=hit.doc_id,
-                    char_span=hit.char_span,
-                    text=hit.text,
-                    origin=corpus_mod.ORIGIN_RETRIEVED,
-                )
-            )
+            extended.append(replace(hit, sentence_id=new_id, origin=corpus_mod.ORIGIN_RETRIEVED))
             extended_mentions[new_id] = list(support_mentions.get(hit.sentence_id, ()))
             query_of[new_id] = sentence.sentence_id
     return extended, extended_mentions, query_of

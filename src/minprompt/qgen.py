@@ -266,6 +266,9 @@ def assemble_dataset(
         retrieved = sentence.origin == ORIGIN_RETRIEVED
         context_doc = by_id[query_of[sid]].doc_id if retrieved else sentence.doc_id
         context = documents[context_doc].text
+        # a mask token already in the source texts could not be told from
+        # the sample's own mask slots
+        holds_mask = mask_token in sentence.text or mask_token in context
         for mention in sentence_mentions:
             if retrieved:
                 span = first_span.get((context_doc, mention.normalized_key))
@@ -273,6 +276,13 @@ def assemble_dataset(
                 span = _span_in_document(sentence, mention)
             mention_seed = derive_seed(seed, sid, mention.char_span[0])
             for style in styles:
+                if holds_mask:
+                    log.info(
+                        "skipping sample for sentence %d: text already contains the mask token %r",
+                        sid,
+                        mask_token,
+                    )
+                    continue
                 if style == STYLE_CLOZE:
                     if CLOZE_MASK in sentence.text:
                         log.info(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,38 +46,26 @@ class RetrievalConstraints:
             raise ValidationError("min_extra_shared_entities must be >= 0")
 
 
-class Bm25Index:
+class Bm25Index(NamedTuple):
     """Inverted index over support sentences, with per-sentence entity keys.
 
-    The postings are stored CSR-style: `terms` maps a term to its row, and
-    row r's postings are posting_ids / posting_weights[indptr[r]:indptr[r + 1]],
-    the ascending ids of the sentences holding the term and the term's BM25
-    weight in each. Sentences that tokenize to nothing are left unindexed
-    (length 0) and can never be retrieved.
+    - sentences: the indexed sentences, ids dense 0..N-1;
+    - keys[sid]: the normalized entity keys of sentence sid's mentions;
+    - indexed_ids: the ascending ids of the sentences holding a token;
+      a sentence that tokenizes to nothing is never ranked;
+    - terms, indptr, posting_ids, posting_weights: the postings, stored
+      CSR-style. terms maps a term to its row, and row r's postings are
+      posting_ids / posting_weights[indptr[r]:indptr[r + 1]], the ascending
+      ids of the sentences holding the term and its BM25 weight in each.
     """
 
-    def __init__(self):
-        self.sentences: list[Sentence] = []
-        self.keys: dict[int, frozenset[str]] = {}
-        self.lengths = np.zeros(0, dtype=np.int64)  # tokens per sentence id
-        self.indexed_ids = np.zeros(0, dtype=np.int64)  # ids with length > 0, ascending
-        self.avg_len: float = 0.0
-        self.terms: dict[str, int] = {}
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.posting_ids = np.zeros(0, dtype=np.int64)
-        self.posting_weights = np.zeros(0, dtype=np.float64)
-
-    @property
-    def indexed_count(self) -> int:
-        return int(self.indexed_ids.size)
-
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(sentence ids, BM25 weights) of the term; empty when it is absent."""
-        row = self.terms.get(term)
-        if row is None:
-            return self.posting_ids[:0], self.posting_weights[:0]
-        lo, hi = self.indptr[row], self.indptr[row + 1]
-        return self.posting_ids[lo:hi], self.posting_weights[lo:hi]
+    sentences: list[Sentence]
+    keys: list[frozenset[str]]
+    indexed_ids: np.ndarray
+    terms: dict[str, int]
+    indptr: np.ndarray
+    posting_ids: np.ndarray
+    posting_weights: np.ndarray
 
 
 def build_index(
@@ -88,52 +78,41 @@ def build_index(
     norm = K1 * (1 - B + B * length / avg_len), evaluated in that order so
     that a query's score is the same float a per-posting loop would add up.
     """
-    index = Bm25Index()
-    index.sentences = list(sentences)
     mentions = mentions or {}
+    keys: list[frozenset[str]] = []
     lengths: list[int] = []
     rows: list[int] = []  # one entry per (term, sentence) posting
     ids: list[int] = []
     tfs: list[int] = []
-    terms = index.terms
+    terms: dict[str, int] = {}
     for sentence in sentences:
         sid = sentence.sentence_id
-        if sid != len(index.keys):
+        if sid != len(keys):
             raise ValidationError("support sentence ids must be dense 0..N-1")
-        index.keys[sid] = frozenset(
-            m.normalized_key for m in mentions.get(sid, ())
-        )
+        keys.append(frozenset(m.normalized_key for m in mentions.get(sid, ())))
         tokens = tokenize(sentence.text)
         lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, tf in counts.items():
+        for term, tf in Counter(tokens).items():
             rows.append(terms.setdefault(term, len(terms)))
             ids.append(sid)
             tfs.append(tf)
-    index.lengths = np.array(lengths, dtype=np.int64)
-    index.indexed_ids = np.flatnonzero(index.lengths)
-    n = index.indexed_count
-    index.avg_len = sum(lengths) / n if n else 0.0
-    if not rows:
-        return index
+    length_array = np.array(lengths, dtype=np.int64)
+    indexed_ids = np.flatnonzero(length_array)
+    n = indexed_ids.size
+    # with nothing indexed there is no posting to weigh
+    avg_len = sum(lengths) / n if n else 1.0
     # Sentences were visited in id order, so a stable sort by row keeps each
     # row's ids ascending.
     row_array = np.array(rows, dtype=np.int64)
     order = np.argsort(row_array, kind="stable")
     doc_freq = np.bincount(row_array, minlength=len(terms))
-    index.indptr = np.concatenate(([0], np.cumsum(doc_freq)))
-    index.posting_ids = np.array(ids, dtype=np.int64)[order]
+    posting_ids = np.array(ids, dtype=np.int64)[order]
     tf = np.array(tfs, dtype=np.float64)[order]
-    idf = np.array(
-        [math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()]
-    )
-    norm = K1 * (1.0 - B + B * index.lengths / index.avg_len)
-    index.posting_weights = (
-        idf[row_array[order]] * (tf * (K1 + 1.0)) / (tf + norm[index.posting_ids])
-    )
-    return index
+    idf = np.array([math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()])
+    norm = K1 * (1.0 - B + B * length_array / avg_len)
+    weights = idf[row_array[order]] * (tf * (K1 + 1.0)) / (tf + norm[posting_ids])
+    indptr = np.concatenate(([0], np.cumsum(doc_freq)))
+    return Bm25Index(list(sentences), keys, indexed_ids, terms, indptr, posting_ids, weights)
 
 
 def rank(
@@ -147,8 +126,10 @@ def rank(
     """
     scores = np.zeros(len(index.sentences))
     for term in query_tokens:
-        ids, weights = index.postings(term)
-        scores[ids] += weights
+        row = index.terms.get(term)
+        if row is not None:
+            lo, hi = index.indptr[row], index.indptr[row + 1]
+            scores[index.posting_ids[lo:hi]] += index.posting_weights[lo:hi]
     ids = index.indexed_ids  # ascending, so stable sorts break ties by id
     negated = -scores[ids]
     if limit is not None and limit < ids.size:

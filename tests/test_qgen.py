@@ -352,6 +352,51 @@ class TestAssembleDataset:
             for r in caplog.records
         )
 
+    def test_source_text_holding_the_mask_token_skipped(self, caplog):
+        # the input would hold a third mask slot, in the first sentence
+        doc = "Type <mask> to hide the Lakers name. The Lakers won in 1987."
+        documents = {"d": Document("d", "", doc)}
+        sentences = [
+            Sentence(0, "d", (0, 36), doc[:36], "corpus"),
+            Sentence(1, "d", (37, 60), doc[37:], "corpus"),
+        ]
+        mentions = {
+            0: [mention_at(sentences[0].text, "Lakers", "ORG")],
+            1: [mention_at(sentences[1].text, name, "ORG") for name in ("Lakers", "1987")],
+        }
+        with caplog.at_level("INFO", logger="minprompt.qgen"):
+            samples = assemble_dataset(
+                [0, 1], sentences, mentions, documents, WhPriors.default(), styles=("cloze",)
+            )
+        assert samples == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping sample for sentence {sid}: text already contains the mask token '<mask>'"
+            for sid in (0, 1, 1)
+        ]
+        # another mask token leaves the same texts usable; the source texts
+        # are checked, not the cloze question, which always holds [MASK]
+        assert len(assemble_dataset(
+            [0, 1], sentences, mentions, documents, WhPriors.default(), styles=("cloze",),
+            mask_token=CLOZE_MASK,
+        )) == 3
+
+    def test_retrieved_sentence_holding_the_mask_token_skipped(self, caplog):
+        documents, sentences, mentions = simple_corpus()
+        retrieved = make_sentence(3, "Lakers fans typed <mask> in Los Angeles.", "s", "retrieved")
+        mentions = {
+            **mentions,
+            3: [mention_at(retrieved.text, name, "ORG") for name in ("Lakers", "Los Angeles")],
+        }
+        with caplog.at_level("INFO", logger="minprompt.qgen"):
+            samples = assemble_dataset(
+                [0, 3], sentences + [retrieved], mentions, documents, WhPriors.default(),
+                styles=("cloze",), query_of={3: 0},
+            )
+        # the query document holds no mask token, so its own sentence still gives samples
+        assert {s["sentence_id"] for s in samples} == {0}
+        assert len(samples) == 3
+        assert sum("mask token" in r.getMessage() for r in caplog.records) == 2
+
     def test_deterministic_output(self):
         documents, sentences, mentions = simple_corpus()
         kwargs = dict(styles=("cloze", "wh"), seed=7)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -35,34 +36,54 @@ class TestTokenizer:
         assert tokenize("...") == []
 
 
+def postings(index, term):
+    """(sentence ids, BM25 weights) of the term's row of the index."""
+    row = index.terms[term]
+    lo, hi = index.indptr[row], index.indptr[row + 1]
+    return index.posting_ids[lo:hi].tolist(), index.posting_weights[lo:hi].tolist()
+
+
 class TestBuildIndex:
     def test_doc_freq_counts(self):
         index = build_index(corpus(["a b", "b c"]))
-        assert {t: index.postings(t)[0].tolist() for t in "abc"} == {
-            "a": [0], "b": [0, 1], "c": [1]
+        assert {t: postings(index, t)[0] for t in "abc"} == {"a": [0], "b": [0, 1], "c": [1]}
+        # both lengths equal avg_len (2), so the length term cancels:
+        # idf * 1 * (k1 + 1) / (1 + k1) = idf = ln((N - df + 0.5) / (df + 0.5) + 1)
+        assert {t: postings(index, t)[1] for t in "abc"} == {
+            "a": [pytest.approx(math.log(2), abs=1e-12)],
+            "b": [pytest.approx(math.log(1.2), abs=1e-12)] * 2,
+            "c": [pytest.approx(math.log(2), abs=1e-12)],
         }
-        assert index.avg_len == 2.0
 
     def test_empty_corpus(self):
         index = build_index([])
-        assert index.indexed_count == 0
+        assert index.indexed_ids.size == 0
         assert rank(index, ["anything"]) == []
 
     def test_case_folding_merges_tf(self):
         index = build_index(corpus(["B b"]))
-        ids, weights = index.postings("b")
-        assert ids.tolist() == [0]
+        ids, weights = postings(index, "b")
+        assert ids == [0]
         # one posting with tf = 2: idf * 2 * (k1 + 1) / (2 + k1), length == avg_len
-        assert weights.tolist() == [pytest.approx(math.log(4 / 3) * 4.4 / 3.2, abs=1e-12)]
+        assert weights == [pytest.approx(math.log(4 / 3) * 4.4 / 3.2, abs=1e-12)]
 
     def test_token_free_sentence_unindexed(self):
         index = build_index(corpus(["...", "real words"]))
-        assert index.lengths[0] == 0
         assert index.indexed_ids.tolist() == [1]
-        assert index.indexed_count == 1
+        assert index.indexed_ids.size == 1
         # an unindexed sentence is never ranked, not even in the zero-score tail
         for query in (["real"], ["nothing"], []):
             assert [sid for sid, _ in rank(index, query)] == [1]
+
+    def test_only_token_free_sentences(self):
+        # no sentence is indexed, so no average length is taken over none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = build_index(corpus(["...", "!!"]))
+            assert index.indexed_ids.size == 0
+            assert index.terms == {}
+            for query in (["anything"], []):
+                assert rank(index, query) == []
 
 
 class TestScoring:
