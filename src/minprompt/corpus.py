@@ -43,6 +43,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
 _TERMINAL_RE = re.compile(r"[.!?]\s+")
 
 
+# no slots: write_documents reads a Document's fields through vars()
 @dataclass(frozen=True)
 class Document:
     doc_id: str
@@ -50,7 +51,8 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
+# slotted, as is entities.EntityMention: a run holds thousands of each
+@dataclass(frozen=True, slots=True)
 class Sentence:
     sentence_id: int
     doc_id: str

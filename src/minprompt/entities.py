@@ -65,7 +65,7 @@ def normalize_key(surface: str) -> str:
     return " ".join(surface.casefold().split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     surface: str
     entity_type: str

@@ -14,7 +14,7 @@ the output directory:
     select    selection.json    dominating-set result
     generate  samples.jsonl     the training samples
               stats.json        pipeline statistics (deterministic)
-              timings.json      per-stage wall times (not deterministic)
+              timings.json      per-stage wall times and peak RSS (not deterministic)
 
 `run_pipeline` keeps every intermediate in memory and writes each file
 once, plus effective_config.cfg (the resolved configuration echo). A
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -60,6 +61,7 @@ from .fileio import (
     iter_lines,
     read_json,
     read_jsonl,
+    read_text,
     write_json,
     write_jsonl,
     write_text,
@@ -306,11 +308,31 @@ def stats_table(stats: PipelineStats) -> str:
     return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows)
 
 
+_PROC_STATUS = "/proc/self/status"
+
+
+def peak_rss_kib() -> int | None:
+    """The process's peak resident set size so far, in KiB: VmHWM from
+    /proc, else ru_maxrss, which on Linux also counts the peak of the
+    process this one was forked from; None where neither exists."""
+    if os.path.exists(_PROC_STATUS):
+        for line in read_text(_PROC_STATUS).splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak  # macOS counts bytes
+
+
 class StageClock:
-    """Runs stage bodies, records wall times, and tags failures."""
+    """Runs stage bodies, records each one's wall time and the peak RSS
+    after it, and tags failures. `timings` is the timings.json object."""
 
     def __init__(self):
-        self.timings_ms: dict[str, int] = {}
+        self.timings: dict[str, dict[str, int]] = {"timings_ms": {}, "peak_rss_kib": {}}
 
     def run(self, stage: str, func, *args, **kwargs):
         start = time.perf_counter()
@@ -318,7 +340,10 @@ class StageClock:
             result = func(*args, **kwargs)
         except Exception as exc:
             raise StageError(stage, str(exc)) from exc
-        self.timings_ms[stage] = int((time.perf_counter() - start) * 1000)
+        self.timings["timings_ms"][stage] = int((time.perf_counter() - start) * 1000)
+        peak = peak_rss_kib()
+        if peak is not None:
+            self.timings["peak_rss_kib"][stage] = peak
         return result
 
 
@@ -528,7 +553,7 @@ class PipelineState:
     selection: dict | None = None
     samples: list | None = None
     stats: PipelineStats | None = None
-    timings: dict[str, int] | None = None  # stage -> wall time in ms
+    timings: dict[str, dict[str, int]] | None = None  # StageClock.timings
 
 
 def _write_retrieved(query_of: dict[int, int] | None, path: str) -> None:
@@ -569,10 +594,11 @@ GRAPH_STATS = {
     f.name: COUNT._replace(optional=f.name != "nodes") for f in fields(sentgraph_mod.GraphStats)
 }
 STATS = {f.name: COUNT if f.type == "int" else Field(float) for f in fields(PipelineStats)}
+_INT_VALUES = Field(dict, lambda v, r: {int}.issuperset(map(type, v.values())))
 TIMINGS = {
-    "timings_ms": Field(
-        dict, lambda v, r: {int}.issuperset(map(type, v.values())), "an object of int milliseconds"
-    )
+    "timings_ms": _INT_VALUES._replace(says="an object of int milliseconds"),
+    # a timings.json written before peaks were recorded has none
+    "peak_rss_kib": _INT_VALUES._replace(says="an object of int KiB", optional=True),
 }
 
 
@@ -615,11 +641,12 @@ ARTIFACTS = {
         lambda v, p: write_json(asdict(v), p),
         lambda st, p: PipelineStats(**read_json(p, STATS)),
     ),
-    # wall times, kept out of stats.json so that reruns stay byte-identical
+    # wall times and peak RSS, kept out of stats.json so that reruns stay
+    # byte-identical
     "timings": (
         "timings.json",
-        lambda v, p: write_json({"timings_ms": v}, p),
-        lambda st, p: read_json(p, TIMINGS)["timings_ms"] if os.path.exists(p) else {},
+        write_json,
+        lambda st, p: read_json(p, TIMINGS) if os.path.exists(p) else {"timings_ms": {}},
     ),
 }
 
@@ -729,7 +756,7 @@ def _generate_body(config: PipelineConfig, clock: StageClock, state: PipelineSta
         max_degree=selection["max_degree"],
         bound=selection["bound"],
     )
-    state.timings = clock.timings_ms  # shared, so later stages still land in timings.json
+    state.timings = clock.timings  # shared, so later stages still land in timings.json
     return f"wrote {len(state.samples)} samples"
 
 

@@ -11,7 +11,6 @@ document of the query sentence that fetched it.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
 from dataclasses import dataclass
@@ -22,6 +21,13 @@ from .corpus import ORIGIN_CORPUS, ORIGIN_RETRIEVED, Document, Sentence
 from .entities import ENTITY_TYPES, EntityMention, wh_family
 from .errors import ValidationError
 from .fileio import read_json, write_jsonl
+
+try:
+    # the same function as hashlib.blake2b; importing hashlib would load
+    # OpenSSL's libcrypto (about 3.5 MB resident) for nothing
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +118,7 @@ class WhPriors:
 def derive_seed(global_seed: int, sentence_id: int, mention_start: int) -> int:
     """Stable per-sample RNG seed from the run seed and the mention's position."""
     tag = f"{global_seed}:{sentence_id}:{mention_start}".encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(tag, digest_size=8).digest(), "big")
 
 
 def sample_wh_bigram(priors: WhPriors, answer_type: str, rng_seed: int) -> str:

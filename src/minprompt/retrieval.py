@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,9 +80,7 @@ def build_index(
     mentions = mentions or {}
     keys: list[frozenset[str]] = []
     lengths: list[int] = []
-    rows: list[int] = []  # one entry per (term, sentence) posting
-    ids: list[int] = []
-    tfs: list[int] = []
+    token_rows: list[int] = []  # each token's term row, sentence by sentence
     terms: dict[str, int] = {}
     for sentence in sentences:
         sid = sentence.sentence_id
@@ -92,25 +89,25 @@ def build_index(
         keys.append(frozenset(m.normalized_key for m in mentions.get(sid, ())))
         tokens = tokenize(sentence.text)
         lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            rows.append(terms.setdefault(term, len(terms)))
-            ids.append(sid)
-            tfs.append(tf)
+        token_rows.extend([terms.setdefault(term, len(terms)) for term in tokens])
     length_array = np.array(lengths, dtype=np.int64)
     indexed_ids = np.flatnonzero(length_array)
     n = indexed_ids.size
     # with nothing indexed there is no posting to weigh
     avg_len = sum(lengths) / n if n else 1.0
-    # Sentences were visited in id order, so a stable sort by row keeps each
-    # row's ids ascending.
-    row_array = np.array(rows, dtype=np.int64)
-    order = np.argsort(row_array, kind="stable")
-    doc_freq = np.bincount(row_array, minlength=len(terms))
-    posting_ids = np.array(ids, dtype=np.int64)[order]
-    tf = np.array(tfs, dtype=np.float64)[order]
+    # one code row * N + id per token; sorted and counted, each distinct code
+    # is a posting, rows in order with ascending ids, its count the term's tf
+    width = max(len(keys), 1)
+    codes = np.array(token_rows, dtype=np.int64) * width
+    del token_rows
+    codes += np.repeat(np.arange(len(keys), dtype=np.int64), length_array)
+    codes, counts = np.unique(codes, return_counts=True)
+    rows, posting_ids = np.divmod(codes, width)
+    doc_freq = np.bincount(rows, minlength=len(terms))
+    tf = counts.astype(np.float64)
     idf = np.array([math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()])
     norm = K1 * (1.0 - B + B * length_array / avg_len)
-    weights = idf[row_array[order]] * (tf * (K1 + 1.0)) / (tf + norm[posting_ids])
+    weights = idf[rows] * (tf * (K1 + 1.0)) / (tf + norm[posting_ids])
     indptr = np.concatenate(([0], np.cumsum(doc_freq)))
     return Bm25Index(list(sentences), keys, indexed_ids, terms, indptr, posting_ids, weights)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -14,6 +16,18 @@ from minprompt.corpus import Sentence
 from minprompt.entities import EntityMention, normalize_key
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def fresh_interpreter(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this package.
+
+    The test session itself has loaded http.server, hashlib and numpy."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(entities.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def make_sentence(sid: int, text: str, doc_id: str = "doc", origin: str = "corpus") -> Sentence:

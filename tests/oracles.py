@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -259,6 +260,46 @@ def naive_bm25_scores(
             score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * len(tokens) / avg_len))
         scores.append(score)
     return scores
+
+
+def list_build_index(sentences) -> dict:
+    """retrieval.build_index's postings, collected per sentence in Python
+    lists (one entry per term and sentence, its Counter count the tf) and
+    ordered by a stable argsort on the term row. Same arithmetic, so the
+    arrays must match bit for bit."""
+    lengths: list[int] = []
+    rows: list[int] = []
+    ids: list[int] = []
+    tfs: list[int] = []
+    terms: dict[str, int] = {}
+    for sid, sentence in enumerate(sentences):
+        tokens = tokenize(sentence.text)
+        lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            rows.append(terms.setdefault(term, len(terms)))
+            ids.append(sid)
+            tfs.append(tf)
+    length_array = np.array(lengths, dtype=np.int64)
+    indexed_ids = np.flatnonzero(length_array)
+    n = indexed_ids.size
+    avg_len = sum(lengths) / n if n else 1.0
+    # sentences were visited in id order, so a stable sort by row keeps each
+    # row's ids ascending
+    row_array = np.array(rows, dtype=np.int64)
+    order = np.argsort(row_array, kind="stable")
+    doc_freq = np.bincount(row_array, minlength=len(terms))
+    posting_ids = np.array(ids, dtype=np.int64)[order]
+    tf = np.array(tfs, dtype=np.float64)[order]
+    idf = np.array([math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in doc_freq.tolist()])
+    norm = K1 * (1.0 - B + B * length_array / avg_len)
+    weights = idf[row_array[order]] * (tf * (K1 + 1.0)) / (tf + norm[posting_ids])
+    return {
+        "terms": terms,
+        "indptr": np.concatenate(([0], np.cumsum(doc_freq))),
+        "posting_ids": posting_ids,
+        "indexed_ids": indexed_ids,
+        "posting_weights": weights,
+    }
 
 
 class DictBm25Index:

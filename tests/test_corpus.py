@@ -4,14 +4,17 @@ import gzip
 import json
 import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import make_sentence, mention_at
 from minprompt.corpus import (
     DEFAULT_ABBREVIATIONS,
+    ORIGIN_RETRIEVED,
     Document,
     _raw_char_spans,
     ingest,
@@ -294,3 +297,17 @@ def test_byte_spans_equal_the_definition(text, data):
 def test_byte_spans_reject_unsorted_spans(spans):
     with pytest.raises(ValidationError, match="sorted and disjoint"):
         byte_spans("Zoë’s café 😀", spans)
+
+
+def test_sentence_and_mention_records_have_no_instance_dict():
+    # a run holds thousands of each; slots save a dict per record
+    sentence = make_sentence(3, "The Lakers won in 1947.", doc_id="d1")
+    mention = mention_at(sentence.text, "Lakers", "ORG")
+    for record in (sentence, mention):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    # stage_retrieve renumbers a support hit this way
+    moved = replace(sentence, sentence_id=9, origin=ORIGIN_RETRIEVED)
+    assert (moved.sentence_id, moved.origin) == (9, ORIGIN_RETRIEVED)
+    for field in fields(sentence):
+        if field.name not in ("sentence_id", "origin"):
+            assert getattr(moved, field.name) == getattr(sentence, field.name), field.name

@@ -5,12 +5,12 @@ from __future__ import annotations
 import ast
 import os
 import re
-import subprocess
 import sys
 
 import pytest
 
 import minprompt
+from conftest import fresh_interpreter
 
 PACKAGE_DIR = os.path.dirname(minprompt.__file__)
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -100,22 +100,10 @@ def test_runtime_dependencies_are_numpy_only():
     assert [re.match(r"[A-Za-z0-9_.\-]+", dep).group() for dep in dependencies] == ["numpy"]
 
 
-def _fresh_interpreter(code: str) -> str:
-    """stdout of `code` run in a new interpreter that imports this package.
-
-    The test session itself has loaded http.server and numpy."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
-
-
 def test_cli_import_loads_no_http_modules():
     # only the service recognizer needs HTTP, and it imports it when it runs
     code = "import sys, minprompt.cli; print('http.client' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
+    assert fresh_interpreter(code) == "False"
 
 
 def test_text_modules_load_no_numpy():
@@ -125,7 +113,7 @@ def test_text_modules_load_no_numpy():
         "import sys, minprompt, minprompt.corpus, minprompt.entities, minprompt.qgen, "
         "minprompt.fileio; print('numpy' in sys.modules)"
     )
-    assert _fresh_interpreter(code) == "False"
+    assert fresh_interpreter(code) == "False"
 
 
 def test_readme_library_imports_run():

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 import oracles
-from conftest import FIXTURE_DIR, RecognizerHandler, mention_at
+from conftest import FIXTURE_DIR, RecognizerHandler, fresh_interpreter, mention_at
 from minprompt import entities as entities_mod
 from minprompt import pipeline as pipeline_mod
 from minprompt import retrieval as retrieval_mod
@@ -372,9 +372,9 @@ class TestRunPipeline:
         }
         reread = load_artifacts(config.output_dir, ("stats", "timings"))
         assert reread.stats == stats
-        assert set(reread.timings) == {
-            "ingest", "recognize", "build_graph", "dominating_set", "generate", "write"
-        }
+        stages = {"ingest", "recognize", "build_graph", "dominating_set", "generate", "write"}
+        assert set(reread.timings["timings_ms"]) == stages
+        assert set(reread.timings["peak_rss_kib"]) == stages
 
     @pytest.mark.parametrize("overrides", FIXTURE_CONFIGS.values(), ids=FIXTURE_CONFIGS)
     def test_every_artifact_reads_back_to_its_bytes(self, tmp_path, overrides):
@@ -392,6 +392,41 @@ class TestRunPipeline:
         ]
         for name in os.listdir(again):
             assert (again / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+    def test_timings_record_peak_rss_per_stage(self, tmp_path):
+        contract = ("samples.jsonl", "selection.json", "stats.json")
+        outputs = []
+        for out in ("out", "again"):
+            run_pipeline(load_config(write_fixture_config(tmp_path, out=out, **RETRIEVAL)))
+            outputs.append({name: (tmp_path / out / name).read_bytes() for name in contract})
+        # peak RSS goes to timings.json alone: the contract files are the same
+        assert outputs[0] == outputs[1]
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text(encoding="utf-8"))
+        order = ("ingest", "recognize", "retrieve", "build_graph", "dominating_set", "generate")
+        assert set(timings["peak_rss_kib"]) == set(timings["timings_ms"]) == {*order, "write"}
+        # in stage order, a high-water mark never falls
+        peaks = [timings["peak_rss_kib"][stage] for stage in (*order, "write")]
+        assert peaks == sorted(peaks) and peaks[0] > 0
+
+    def test_peak_rss_without_proc_is_ru_maxrss(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        with mock.patch.object(pipeline_mod, "_PROC_STATUS", str(tmp_path / "missing")):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak = pipeline_mod.peak_rss_kib()
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert before <= peak <= after
+
+    def test_run_loads_no_openssl(self, tmp_path):
+        # hashlib would load OpenSSL's libcrypto, about 3.5 MB of resident
+        # memory that a run without the service recognizer never uses
+        config = write_fixture_config(tmp_path, **RETRIEVAL)
+        code = (
+            "import sys; from minprompt.cli import main; "
+            f"assert main(['run', '--config', {config!r}]) == 0; "
+            "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)"
+        )
+        assert fresh_interpreter(code).splitlines()[-1] == "False False"
+        assert os.path.getsize(tmp_path / "out" / "samples.jsonl") > 0
 
     def test_rerun_reproduces_outputs_from_echo(self, tmp_path):
         config = load_config(write_fixture_config(tmp_path))
@@ -572,13 +607,13 @@ class TestStatsTable:
 
     def test_stats_report_writes_and_formats(self, tmp_path):
         stats = PipelineStats(nodes=4, edges=4, dominating_set=1, training_samples=3)
-        state = PipelineState(stats=stats, timings={"ingest": 5})
+        state = PipelineState(stats=stats, timings={"timings_ms": {"ingest": 5}})
         save_artifacts(state, str(tmp_path), ("stats", "timings"))
         assert "# dominating set" in stats_table(stats)
         payload = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
         assert payload["dominating_set"] == 1
         timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
-        assert timings["timings_ms"] == {"ingest": 5}
+        assert timings == {"timings_ms": {"ingest": 5}}
 
 
 class TestStoplistAndScope:

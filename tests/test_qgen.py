@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import string
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, mention_at
+from conftest import fresh_interpreter, make_sentence, mention_at
 from minprompt.corpus import Document, Sentence
 from minprompt.entities import EntityMention, normalize_key
 from minprompt.errors import ValidationError
@@ -479,6 +480,31 @@ def test_derive_seed_stability():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
     assert derive_seed(1, 2, 3) != derive_seed(2, 2, 3)
+
+
+_SEED_TRIPLES = [(0, 0, 0), (1, 2, 3), (7, 40213, 118), (2**40, 3, 0), (-5, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "prelude, loads_openssl",
+    [
+        # derive_seed takes blake2b from _blake2, so OpenSSL stays unloaded
+        ("pass", False),
+        # _blake2 blocked after hashlib took its blake2b from it: the fallback
+        ("import hashlib; sys.modules['_blake2'] = None", True),
+    ],
+    ids=["blake2", "hashlib_fallback"],
+)
+def test_derive_seed_is_blake2b_on_either_import(prelude, loads_openssl):
+    code = (
+        f"import sys; {prelude}; from minprompt.qgen import derive_seed; "
+        f"print([derive_seed(*t) for t in {_SEED_TRIPLES!r}], '_hashlib' in sys.modules)"
+    )
+    expected = [
+        int.from_bytes(hashlib.blake2b(f"{s}:{i}:{m}".encode(), digest_size=8).digest(), "big")
+        for s, i, m in _SEED_TRIPLES
+    ]
+    assert fresh_interpreter(code) == f"{expected} {loads_openssl}"
 
 
 # text without the mask literal, answers that stay findable byte-for-byte

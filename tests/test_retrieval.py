@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,20 @@ _WORDS = st.sampled_from(["a", "b", "c", "d", "A"])
 _TEXTS = st.one_of(
     st.lists(_WORDS, max_size=6).map(" ".join), st.sampled_from(["", "...", "a b", "b a"])
 )
+
+
+class TestBuildIndexAgainstListBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(_TEXTS, max_size=12))
+    def test_arrays_equal_list_build(self, texts):
+        # _TEXTS holds token-free sentences ("", "...") and repeated tokens
+        index = build_index(corpus(texts))
+        reference = oracles.list_build_index(corpus(texts))
+        assert list(index.terms.items()) == list(reference["terms"].items())
+        for name in ("indptr", "posting_ids", "indexed_ids", "posting_weights"):
+            got, expected = getattr(index, name), reference[name]
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
 
 
 class TestRankAgainstDictLoop:
