@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import logging
 import random
+# the object hashlib re-exports as hashlib.blake2b; importing hashlib would
+# also load OpenSSL's libcrypto (about 3.5 MB resident) for nothing
+from _blake2 import blake2b
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -21,13 +24,6 @@ from .corpus import ORIGIN_CORPUS, ORIGIN_RETRIEVED, Document, Sentence
 from .entities import ENTITY_TYPES, EntityMention, wh_family
 from .errors import ValidationError
 from .fileio import read_json, write_jsonl
-
-try:
-    # the same function as hashlib.blake2b; importing hashlib would load
-    # OpenSSL's libcrypto (about 3.5 MB resident) for nothing
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
 
 log = logging.getLogger(__name__)
 

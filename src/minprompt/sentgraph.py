@@ -200,11 +200,6 @@ class SentenceGraph:
         self.node_keys = node_keys
         for array in (key_indptr, key_members, node_indptr, node_keys):
             array.flags.writeable = False
-        # views that index to Python ints, for key_rows and for
-        # closed_neighborhood, which the greedy calls once per pick
-        self._key_bounds = memoryview(key_indptr)
-        self._node_bounds = memoryview(node_indptr)
-        self._node_key_ids = memoryview(node_keys)
         self.cached_degrees = self._degrees()
         for name in ("long_hits", "long_members", "subset_indptr", "subset_ids", "subset_counts"):
             getattr(self, name).flags.writeable = False
@@ -222,7 +217,7 @@ class SentenceGraph:
     def key_rows(self):
         """(key, its member ids as a read-only view of key_members) for each
         key, in key order, one at a time."""
-        bounds = self._key_bounds
+        bounds = memoryview(self.key_indptr)
         for key, a, b in zip(self.keys, bounds, bounds[1:]):
             yield key, self.key_members[a:b]
 
@@ -405,20 +400,12 @@ class SentenceGraph:
         """Sorted ids of v plus every neighbor of v."""
         if not 0 <= v < self.node_count:
             raise ValidationError(f"node {v} out of range 0..{self.node_count - 1}")
-        a, b = self._node_bounds[v], self._node_bounds[v + 1]
-        if a == b:
+        keys = self.node_keys[self.node_indptr[v] : self.node_indptr[v + 1]]
+        if not keys.size:
             return np.array([v], dtype=np.int64)
-        bounds = self._key_bounds
-        if b - a == 1:
-            k = self._node_key_ids[a]
-            return self.key_members[bounds[k] : bounds[k + 1]]
-        if b - a <= _IE_ROW:
-            # a short row: slicing each key's row beats building index ranges
-            members = np.concatenate(
-                [self.key_members[bounds[k] : bounds[k + 1]] for k in self._node_key_ids[a:b]]
-            )
-        else:
-            members = self._members_of(self.node_keys[a:b])[0]
+        if keys.size == 1:
+            return self.key_members[self.key_indptr[keys[0]] : self.key_indptr[keys[0] + 1]]
+        members = self._members_of(keys)[0]
         members.sort()
         return members[_run_starts(members)]
 

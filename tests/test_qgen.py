@@ -485,26 +485,18 @@ def test_derive_seed_stability():
 _SEED_TRIPLES = [(0, 0, 0), (1, 2, 3), (7, 40213, 118), (2**40, 3, 0), (-5, 1, 2)]
 
 
-@pytest.mark.parametrize(
-    "prelude, loads_openssl",
-    [
-        # derive_seed takes blake2b from _blake2, so OpenSSL stays unloaded
-        ("pass", False),
-        # _blake2 blocked after hashlib took its blake2b from it: the fallback
-        ("import hashlib; sys.modules['_blake2'] = None", True),
-    ],
-    ids=["blake2", "hashlib_fallback"],
-)
-def test_derive_seed_is_blake2b_on_either_import(prelude, loads_openssl):
+def test_derive_seed_is_hashlib_blake2b_without_openssl():
+    # derive_seed takes blake2b from _blake2, so a fresh process that calls
+    # it has not loaded OpenSSL through hashlib
     code = (
-        f"import sys; {prelude}; from minprompt.qgen import derive_seed; "
+        "import sys; from minprompt.qgen import derive_seed; "
         f"print([derive_seed(*t) for t in {_SEED_TRIPLES!r}], '_hashlib' in sys.modules)"
     )
     expected = [
         int.from_bytes(hashlib.blake2b(f"{s}:{i}:{m}".encode(), digest_size=8).digest(), "big")
         for s, i, m in _SEED_TRIPLES
     ]
-    assert fresh_interpreter(code) == f"{expected} {loads_openssl}"
+    assert fresh_interpreter(code) == f"{expected} False"
 
 
 # text without the mask literal, answers that stay findable byte-for-byte
