@@ -2,9 +2,10 @@
 
 Two question styles: cloze (the answer span becomes "[MASK]") and the
 wh template (an interrogative bigram, then the fragment after the answer,
-then the fragment before it, then "?"). Each QA pair is rendered into an
-(input, target) string pair: the input masks the answer slot and the
-chosen entity occurrence inside the context; the target restores both.
+then the fragment before it, then "?"). A question is a plain string;
+with its answer and context it is rendered into an (input, target) string
+pair: the input masks the answer slot and the chosen entity occurrence
+inside the context; the target restores both.
 The context is the sentence's document; a retrieved sentence's is the
 document of the query sentence that fetched it.
 """
@@ -16,7 +17,6 @@ import random
 # the object hashlib re-exports as hashlib.blake2b; importing hashlib would
 # also load OpenSSL's libcrypto (about 3.5 MB resident) for nothing
 from _blake2 import blake2b
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -39,15 +39,6 @@ CLOZE_MASK = "[MASK]"
 DEFAULT_MASK_TOKEN = "<mask>"
 
 _SENTENCE_FINAL = ".!?"
-
-
-@dataclass(frozen=True)
-class QaPair:
-    question: str
-    answer: str
-    context: str
-    # Byte span of the chosen entity occurrence inside the context, when known.
-    context_answer_span: tuple[int, int] | None = None
 
 
 class Prompt(NamedTuple):
@@ -157,16 +148,11 @@ def split_fragments(sentence_text: str, answer: EntityMention) -> tuple[str, str
     return fragment_a.strip(), fragment_b.strip().rstrip(_SENTENCE_FINAL).strip()
 
 
-def generate_cloze(
-    sentence: Sentence,
-    answer: EntityMention,
-    context: str,
-    context_answer_span: tuple[int, int] | None = None,
-) -> QaPair:
+def generate_cloze(sentence: Sentence, answer: EntityMention) -> str:
     """Replace the answer span with "[MASK]"; the span-targeted edit keeps
     the round trip byte-exact even with repeated mentions."""
     before, after = _split_at(sentence.text, answer)
-    return QaPair(before + CLOZE_MASK + after, answer.surface, context, context_answer_span)
+    return before + CLOZE_MASK + after
 
 
 def generate_wh(
@@ -174,10 +160,8 @@ def generate_wh(
     answer: EntityMention,
     priors: WhPriors,
     seed: int,
-    context: str,
-    context_answer_span: tuple[int, int] | None = None,
     order: str = ORDER_WH_B_A,
-) -> QaPair:
+) -> str:
     """Template question: wh-bigram + fragment B + fragment A + "?"."""
     if order not in TEMPLATE_ORDERS:
         raise ValidationError(f"unknown template order {order!r}")
@@ -187,30 +171,35 @@ def generate_wh(
         parts = [bigram, fragment_b, fragment_a]
     else:
         parts = [bigram, fragment_a, fragment_b]
-    question = " ".join(" ".join(part for part in parts if part).split()) + "?"
-    return QaPair(question, answer.surface, context, context_answer_span)
+    return " ".join(" ".join(part for part in parts if part).split()) + "?"
 
 
-def format_prompt(qa: QaPair, mask_token: str = DEFAULT_MASK_TOKEN) -> Prompt | None:
+def format_prompt(
+    question: str,
+    answer: str,
+    context: str,
+    span: tuple[int, int] | None = None,
+    mask_token: str = DEFAULT_MASK_TOKEN,
+) -> Prompt | None:
     """Render "Question: .. Answer: .. Context: .." input/target strings.
 
     The input masks both the answer slot and one occurrence of the answer
-    in the context: the one at `context_answer_span` if that span holds the
+    in the context: the one at byte span `span` if that span holds the
     answer, else the first. The target restores both. Returns None when the
     context does not hold the answer.
     """
-    context = qa.context.encode("utf-8")
-    answer = qa.answer.encode("utf-8")
-    start, end = qa.context_answer_span or (-1, -1)
-    if not (0 <= start <= end <= len(context) and context[start:end] == answer):
-        start = context.find(answer)
+    data = context.encode("utf-8")
+    answer_bytes = answer.encode("utf-8")
+    start, end = span or (-1, -1)
+    if not (0 <= start <= end <= len(data) and data[start:end] == answer_bytes):
+        start = data.find(answer_bytes)
         if start == -1:
             return None
-        end = start + len(answer)
-    masked_context = (context[:start] + mask_token.encode("utf-8") + context[end:]).decode("utf-8")
+        end = start + len(answer_bytes)
+    masked_context = (data[:start] + mask_token.encode("utf-8") + data[end:]).decode("utf-8")
     return Prompt(
-        f"Question: {qa.question} Answer: {mask_token} Context: {masked_context}",
-        f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}",
+        f"Question: {question} Answer: {mask_token} Context: {masked_context}",
+        f"Question: {question} Answer: {answer} Context: {context}",
     )
 
 
@@ -278,61 +267,43 @@ def assemble_dataset(
                 span = _span_in_document(sentence, mention)
             mention_seed = derive_seed(seed, sid, mention.char_span[0])
             for style in styles:
+                # the first branch that holds names the one reason to skip
                 if holds_mask:
-                    log.info(
-                        "skipping sample for sentence %d: text already contains the mask token %r",
-                        sid,
-                        mask_token,
-                    )
-                    continue
-                if style == STYLE_CLOZE:
-                    if CLOZE_MASK in sentence.text:
-                        log.info(
-                            "skipping cloze for sentence %d: text already contains %s",
-                            sid,
-                            CLOZE_MASK,
-                        )
-                        continue
-                    qa = generate_cloze(sentence, mention, context, span)
+                    reason = f"text already contains the mask token {mask_token!r}"
+                elif style == STYLE_CLOZE and CLOZE_MASK in sentence.text:
+                    reason = f"text already contains {CLOZE_MASK}"
+                elif style == STYLE_WH and mention.surface in (
+                    question := generate_wh(sentence, mention, priors, mention_seed, order)
+                ):
+                    reason = f"answer {mention.surface!r} appears in the question"
+                elif (prompt := format_prompt(
+                    # the check above made the wh question; a cloze one is made here
+                    question if style == STYLE_WH
+                    else (question := generate_cloze(sentence, mention)),
+                    mention.surface, context, span, mask_token,
+                )) is None:
+                    reason = f"answer {mention.surface!r} not found in context"
+                elif prompt in seen:
+                    reason = "duplicate of an earlier sample"
                 else:
-                    qa = generate_wh(
-                        sentence, mention, priors, mention_seed, context, span, order
-                    )
-                    if mention.surface in qa.question:
-                        log.info(
-                            "skipping wh question for sentence %d: answer %r appears "
-                            "in the question",
-                            sid,
-                            mention.surface,
-                        )
-                        continue
-                prompt = format_prompt(qa, mask_token)
-                if prompt is None:
-                    log.info(
-                        "skipping sample for sentence %d: answer %r not found in context",
-                        sid,
-                        qa.answer,
+                    seen.add(prompt)
+                    samples.append(
+                        {
+                            "input": prompt.input,
+                            "target": prompt.target,
+                            "question": question,
+                            "answer": mention.surface,
+                            "context": context,
+                            "style": style,
+                            "dataset_id": dataset_id,
+                            # always the document whose text is the context
+                            "doc_id": context_doc,
+                            "sentence_id": sid,
+                            "lambda": lambda_weight,
+                        }
                     )
                     continue
-                if prompt in seen:
-                    log.info("skipping sample for sentence %d: duplicate of an earlier sample", sid)
-                    continue
-                seen.add(prompt)
-                samples.append(
-                    {
-                        "input": prompt.input,
-                        "target": prompt.target,
-                        "question": qa.question,
-                        "answer": qa.answer,
-                        "context": context,
-                        "style": style,
-                        "dataset_id": dataset_id,
-                        # always the document whose text is the context
-                        "doc_id": context_doc,
-                        "sentence_id": sid,
-                        "lambda": lambda_weight,
-                    }
-                )
+                log.info("skipping %s sample for sentence %d: %s", style, sid, reason)
     return samples
 
 

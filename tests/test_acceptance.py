@@ -243,9 +243,9 @@ def test_criterion_06_cloze_round_trip():
         triples = _synthetic_qa_corpus(1000)
         checked = 0
         for sentence, mention, context in triples:
-            qa = generate_cloze(sentence, mention, context)
-            assert qa.question.count(CLOZE_MASK) == 1
-            assert qa.question.replace(CLOZE_MASK, qa.answer, 1) == sentence.text
+            question = generate_cloze(sentence, mention)
+            assert question.count(CLOZE_MASK) == 1
+            assert question.replace(CLOZE_MASK, mention.surface, 1) == sentence.text
             checked += 1
         assert checked == 1000
 
@@ -258,25 +258,26 @@ def test_criterion_07_prompt_template_conformance():
         checked = 0
         for i, (sentence, mention, context) in enumerate(triples):
             if i % 2 == 0:
-                qa = generate_cloze(sentence, mention, context)
+                question = generate_cloze(sentence, mention)
             else:
-                qa = generate_wh(sentence, mention, priors, seed=i, context=context)
-            sample = format_prompt(qa, mask)
+                question = generate_wh(sentence, mention, priors, seed=i)
+            answer = mention.surface
+            sample = format_prompt(question, answer, context, mask_token=mask)
             assert sample is not None
             # exact template strings
             assert sample.target == (
-                f"Question: {qa.question} Answer: {qa.answer} Context: {qa.context}"
+                f"Question: {question} Answer: {answer} Context: {context}"
             )
-            context_bytes = qa.context.encode("utf-8")
-            position = context_bytes.find(qa.answer.encode("utf-8"))
+            context_bytes = context.encode("utf-8")
+            position = context_bytes.find(answer.encode("utf-8"))
             assert position >= 0
             masked_context = (
                 context_bytes[:position]
                 + mask.encode("utf-8")
-                + context_bytes[position + len(qa.answer.encode("utf-8")) :]
+                + context_bytes[position + len(answer.encode("utf-8")) :]
             ).decode("utf-8")
             assert sample.input == (
-                f"Question: {qa.question} Answer: {mask} Context: {masked_context}"
+                f"Question: {question} Answer: {mask} Context: {masked_context}"
             )
             checked += 1
         assert checked == 1000

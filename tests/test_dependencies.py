@@ -93,6 +93,47 @@ def test_open_scan_sees_each_form():
     assert _file_opens(source) == [1, 2, 4]
 
 
+def _unnamed_definitions(sources: list[str]) -> set[str]:
+    """Functions, classes and methods that no other line of the sources
+    names, by name alone: an identifier, an attribute or an import that
+    spells the name counts as a use. Dunder methods are called implicitly
+    and never listed."""
+    defined, named = set(), set()
+    for node in ast.walk(ast.Module(body=[ast.parse(s) for s in sources], type_ignores=[])):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return {name for name in defined - named if not re.fullmatch(r"__\w+__", name)}
+
+
+def test_package_holds_no_code_only_tests_use():
+    sources = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name), "r", encoding="utf-8") as handle:
+                sources.append(handle.read())
+    # is_dominating_set stays only because perfbench's check reads it;
+    # ROADMAP item 3 moves it to tests/oracles.py and perfbench
+    assert _unnamed_definitions(sources) == {"is_dominating_set"}
+
+
+def test_unnamed_definition_scan_sees_each_form():
+    sources = [
+        "def called(): pass\ndef unused(): pass\nclass Annotation: pass\n"
+        "class Lonely:\n    def __init__(self): pass\n    def method(self): pass\n"
+        "    def orphan(self): pass\n    async def waited(self): pass\n"
+        "def imported(): pass\ndef referenced(): pass\n",
+        "from .a import imported\nx: Annotation = called()\nobj.method()\n"
+        "await obj.waited()\nhandlers = [referenced]\n",
+    ]
+    assert _unnamed_definitions(sources) == {"unused", "Lonely", "orphan"}
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as handle:

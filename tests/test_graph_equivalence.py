@@ -222,6 +222,26 @@ def test_array_and_scalar_paths_each_match_heap_oracle(case, mode):
         assert not any(m.called for m in other_side.values()), (mode, size)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mixed_rows())
+def test_int64_subset_tables_match_the_default_build(case):
+    # past _INT32_MAX the subset ids, counts and offsets switch to int64,
+    # and so do a level's codes: a cap of 0 switches both, a cap between
+    # the table's size and the pair codes' bound only the larger one
+    n, postings = case
+    default = SentenceGraph.from_postings(n, postings)
+    expected = oracles.heap_dominating_set(oracles.DictGraph(n, postings))["selected"]
+    table = len(default.keys) + default.subset_ids.size
+    pair_codes = len(default.keys) ** 2
+    for cap in (0, (table + pair_codes) // 2):
+        with mock.patch.object(sentgraph, "_INT32_MAX", cap):
+            graph = SentenceGraph.from_postings(n, postings)
+            result = approx_dominating_set(graph)
+        assert graph.subset_ids.dtype == (np.int64 if table > cap else np.int32), cap
+        assert np.array_equal(graph.cached_degrees, default.cached_degrees), cap
+        assert result.selected == expected, cap
+
+
 def assert_degrees_match(n, postings):
     graph = SentenceGraph.from_postings(n, postings)
     assert graph.cached_degrees.tolist() == oracles.DictGraph(n, postings).degrees.tolist()

@@ -67,34 +67,36 @@ class TestSplitFragments:
 class TestCloze:
     def test_mechanical_substitution(self):
         sentence = make_sentence(0, LAKERS)
-        qa = generate_cloze(sentence, la_mention(), LAKERS)
-        assert qa.question == "The Lakers moved to [MASK] in 1960."
-        assert qa.answer == "Los Angeles"
+        question = generate_cloze(sentence, la_mention())
+        assert question == "The Lakers moved to [MASK] in 1960."
+        assert format_prompt(question, la_mention().surface, LAKERS).target == (
+            f"Question: {question} Answer: Los Angeles Context: {LAKERS}"
+        )
 
     def test_answer_equal_to_whole_sentence(self):
         text = "Los Angeles"
         sentence = make_sentence(0, text)
-        qa = generate_cloze(sentence, mention_at(text, "Los Angeles", "GPE"), text)
-        assert qa.question == "[MASK]"
+        question = generate_cloze(sentence, mention_at(text, "Los Angeles", "GPE"))
+        assert question == "[MASK]"
 
     def test_second_mention_masked_only(self):
         text = "Paris loves Paris."
         sentence = make_sentence(0, text)
         second = mention_at(text, "Paris", "GPE", occurrence=1)
-        qa = generate_cloze(sentence, second, text)
-        assert qa.question == "Paris loves [MASK]."
+        question = generate_cloze(sentence, second)
+        assert question == "Paris loves [MASK]."
 
     def test_round_trip_reconstructs_source(self):
         sentence = make_sentence(0, LAKERS)
-        qa = generate_cloze(sentence, la_mention(), LAKERS)
-        assert qa.question.replace(CLOZE_MASK, qa.answer, 1) == sentence.text
+        question = generate_cloze(sentence, la_mention())
+        assert question.replace(CLOZE_MASK, la_mention().surface, 1) == sentence.text
 
     def test_foreign_mention_rejected(self):
         sentence = make_sentence(0, "A short one.")
         # out of bounds, and a span that holds other text
         for mention in (la_mention(), EntityMention("Lakers", "ORG", (2, 7), "lakers")):
             with pytest.raises(ValidationError):
-                generate_cloze(sentence, mention, "ctx")
+                generate_cloze(sentence, mention)
 
 
 class TestWhSampling:
@@ -160,49 +162,44 @@ class TestGenerateWh:
     def test_template_wh_b_a(self):
         sentence = make_sentence(0, LAKERS)
         priors = priors_of(GPE=[("where", 1.0)])
-        qa = generate_wh(sentence, la_mention(), priors, 1, LAKERS)
-        assert qa.question == "where in 1960 The Lakers moved to?"
+        question = generate_wh(sentence, la_mention(), priors, 1)
+        assert question == "where in 1960 The Lakers moved to?"
 
     def test_empty_b_skipped(self):
         text = "The team moved to Los Angeles."
         sentence = make_sentence(0, text)
         priors = priors_of(GPE=[("where", 1.0)])
-        qa = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1, text)
-        assert qa.question == "where The team moved to?"
+        question = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1)
+        assert question == "where The team moved to?"
 
     def test_both_fragments_empty(self):
         text = "Los Angeles"
         sentence = make_sentence(0, text)
         priors = priors_of(GPE=[("where", 1.0)])
-        qa = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1, text)
-        assert qa.question == "where?"
+        question = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1)
+        assert question == "where?"
 
     def test_alternate_order_wh_a_b(self):
         sentence = make_sentence(0, LAKERS)
         priors = priors_of(GPE=[("where", 1.0)])
-        qa = generate_wh(sentence, la_mention(), priors, 1, LAKERS, order="wh_a_b")
-        assert qa.question == "where The Lakers moved to in 1960?"
+        question = generate_wh(sentence, la_mention(), priors, 1, order="wh_a_b")
+        assert question == "where The Lakers moved to in 1960?"
 
     def test_internal_whitespace_collapsed(self):
         text = "The  team   moved  to Los Angeles  today."
         sentence = make_sentence(0, text)
         priors = priors_of(GPE=[("where", 1.0)])
-        qa = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1, text)
-        assert "  " not in qa.question
-        assert qa.question.endswith("?")
+        question = generate_wh(sentence, mention_at(text, "Los Angeles", "GPE"), priors, 1)
+        assert "  " not in question
+        assert question.endswith("?")
 
 
 class TestFormatPrompt:
     def test_template_strings_exact(self):
-        qa = generate_wh(
-            make_sentence(0, LAKERS),
-            la_mention(),
-            priors_of(GPE=[("where", 1.0)]),
-            1,
-            LAKERS,
-            context_answer_span=(20, 31),
+        question = generate_wh(
+            make_sentence(0, LAKERS), la_mention(), priors_of(GPE=[("where", 1.0)]), 1
         )
-        sample = format_prompt(qa, "<mask>")
+        sample = format_prompt(question, "Los Angeles", LAKERS, (20, 31), "<mask>")
         assert sample.input == (
             "Question: where in 1960 The Lakers moved to? "
             "Answer: <mask> "
@@ -215,46 +212,44 @@ class TestFormatPrompt:
         )
 
     def test_empty_context_trailing_segment(self):
-        qa = generate_cloze(make_sentence(0, "Los Angeles"), mention_at("Los Angeles", "Los Angeles", "GPE"), "")
-        sample = format_prompt(qa)
+        question = generate_cloze(
+            make_sentence(0, "Los Angeles"), mention_at("Los Angeles", "Los Angeles", "GPE")
+        )
+        sample = format_prompt(question, "Los Angeles", "")
         assert sample is None  # answer not in empty context -> skipped
 
     def test_configurable_mask_token(self):
-        qa = generate_wh(
-            make_sentence(0, LAKERS),
-            la_mention(),
-            priors_of(GPE=[("where", 1.0)]),
-            1,
-            LAKERS,
-            context_answer_span=(20, 31),
+        question = generate_wh(
+            make_sentence(0, LAKERS), la_mention(), priors_of(GPE=[("where", 1.0)]), 1
         )
-        sample = format_prompt(qa, "[MASK]")
+        sample = format_prompt(question, "Los Angeles", LAKERS, (20, 31), "[MASK]")
         assert " Answer: [MASK] " in sample.input
         # answer slot and the masked context occurrence both use the token
         assert sample.input.count("[MASK]") == 2
 
     def test_answer_missing_from_context_skips(self):
-        qa = generate_cloze(make_sentence(0, LAKERS), la_mention(), "Totally unrelated context.")
-        assert format_prompt(qa) is None
+        question = generate_cloze(make_sentence(0, LAKERS), la_mention())
+        assert format_prompt(question, "Los Angeles", "Totally unrelated context.") is None
 
     def test_fallback_to_first_occurrence_search(self):
         context = "Report: Los Angeles grew. Los Angeles grew again."
-        qa = generate_cloze(make_sentence(0, LAKERS), la_mention(), context)
-        sample = format_prompt(qa)
+        question = generate_cloze(make_sentence(0, LAKERS), la_mention())
+        sample = format_prompt(question, "Los Angeles", context)
         assert sample.input.endswith(
             "Context: Report: <mask> grew. Los Angeles grew again."
         )
 
     def test_alignment_property(self):
-        qa = generate_wh(
-            make_sentence(0, LAKERS), la_mention(), priors_of(GPE=[("where", 1.0)]), 5, LAKERS
+        answer = la_mention().surface
+        question = generate_wh(
+            make_sentence(0, LAKERS), la_mention(), priors_of(GPE=[("where", 1.0)]), 5
         )
-        sample = format_prompt(qa, "<mask>")
+        sample = format_prompt(question, answer, LAKERS, mask_token="<mask>")
         # replacing the answer slot and the context occurrence of the answer
         # in the target reproduces the input exactly
         rebuilt = sample.target.replace(
-            f" Answer: {qa.answer} ", " Answer: <mask> ", 1
-        ).replace(qa.answer, "<mask>", 1)
+            f" Answer: {answer} ", " Answer: <mask> ", 1
+        ).replace(answer, "<mask>", 1)
         assert rebuilt == sample.input
 
 
@@ -349,7 +344,7 @@ class TestAssembleDataset:
             )
         assert [s["style"] for s in samples] == ["wh"]
         assert any(
-            r.getMessage() == "skipping cloze for sentence 0: text already contains [MASK]"
+            r.getMessage() == "skipping cloze sample for sentence 0: text already contains [MASK]"
             for r in caplog.records
         )
 
@@ -371,7 +366,7 @@ class TestAssembleDataset:
             )
         assert samples == []
         assert [r.getMessage() for r in caplog.records] == [
-            f"skipping sample for sentence {sid}: text already contains the mask token '<mask>'"
+            f"skipping cloze sample for sentence {sid}: text already contains the mask token '<mask>'"
             for sid in (0, 1, 1)
         ]
         # another mask token leaves the same texts usable; the source texts
@@ -397,6 +392,46 @@ class TestAssembleDataset:
         assert {s["sentence_id"] for s in samples} == {0}
         assert len(samples) == 3
         assert sum("mask token" in r.getMessage() for r in caplog.records) == 2
+
+    @pytest.mark.parametrize(
+        "case, style, expected",
+        [
+            ("mask_token", "wh", "text already contains the mask token '<mask>'"),
+            ("cloze_mask", "cloze", "text already contains [MASK]"),
+            ("answer_in_question", "wh", "answer 'Paris' appears in the question"),
+            ("answer_not_in_context", "cloze", "answer 'Bulls' not found in context"),
+            ("duplicate", "cloze", "duplicate of an earlier sample"),
+        ],
+    )
+    def test_each_skip_reason_logs_one_record(self, caplog, case, style, expected):
+        # the reasons in order of precedence; each case breaks only its own
+        text, answer = {
+            "mask_token": ("Type <mask> to hide the Lakers name.", "Lakers"),
+            "cloze_mask": ("The Lakers wrote [MASK] on the board.", "Lakers"),
+            "answer_in_question": ("Paris loves Paris.", "Paris"),
+            "answer_not_in_context": ("The Bulls moved to Los Angeles.", "Bulls"),
+            "duplicate": ("Lakers forever.", "Lakers"),
+        }[case]
+        query = make_sentence(0, "Lakers fans.", doc_id="q")
+        documents = {"d": Document("d", "", text), "q": Document("q", "", query.text)}
+        sentences = [query, make_sentence(1, text, doc_id="d"), make_sentence(2, text, doc_id="d")]
+        mentions = {sid: [mention_at(text, answer, "ORG")] for sid in (1, 2)}
+        selected, query_of, sid = [1], None, 1
+        if case == "duplicate":
+            selected, sid = [1, 2], 2
+        if case == "answer_not_in_context":
+            # retrieved for sentence 0, whose document lacks the answer
+            sentences[1] = make_sentence(1, text, "support", "retrieved")
+            query_of = {1: 0}
+        with caplog.at_level("INFO", logger="minprompt.qgen"):
+            samples = assemble_dataset(
+                selected, sentences, mentions, documents, WhPriors.default(),
+                styles=(style,), query_of=query_of,
+            )
+        assert len(samples) == (case == "duplicate")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {style} sample for sentence {sid}: {expected}"
+        ]
 
     def test_deterministic_output(self):
         documents, sentences, mentions = simple_corpus()
@@ -518,5 +553,5 @@ def test_cloze_round_trip_property(prefix, answer, suffix):
         answer, "MISC", (start, start + len(answer.encode("utf-8"))), normalize_key(answer) or "x"
     )
     sentence = make_sentence(0, text)
-    qa = generate_cloze(sentence, mention, text)
-    assert qa.question.replace(CLOZE_MASK, answer, 1) == text
+    question = generate_cloze(sentence, mention)
+    assert question.replace(CLOZE_MASK, answer, 1) == text
