@@ -138,8 +138,6 @@ def load_gazetteers(paths: tuple[str, ...] | list[str]) -> dict[str, str]:
             term, etype = parts[0].strip(), parts[1].strip()
             if etype not in ENTITY_TYPES:
                 raise ValidationError(f"{path}:{lineno}: unknown entity type {etype!r}")
-            if not term:
-                raise ValidationError(f"{path}:{lineno}: empty term")
             table[term] = etype
     return table
 
@@ -281,8 +279,9 @@ def _pattern_candidates(text: str) -> list:
     ]
 
 
-def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]], size: int):
-    """Longest span first, then leftmost, then source priority.
+def _resolve_overlaps(candidates: list[tuple[int, int, str, object]], size: int) -> list:
+    """The accepted (start, end, type, rank) candidates, sorted by start:
+    longest span first, then leftmost, then lowest rank.
 
     Accepted spans mark their positions in one occupancy mask of `size`
     positions, so a candidate costs at most its own length to test and to
@@ -290,11 +289,12 @@ def _resolve_overlaps(candidates: list[tuple[int, int, str, tuple[int, int]]], s
     marks nothing and would be kept inside an accepted span."""
     ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
     taken = bytearray(size)
-    accepted: list[tuple[int, int, str]] = []
-    for start, end, etype, _rank in ordered:
+    accepted = []
+    for candidate in ordered:
+        start, end, _etype, _rank = candidate
         if taken.find(1, start, end) == -1:
             taken[start:end] = b"\1" * (end - start)
-            accepted.append((start, end, etype))
+            accepted.append(candidate)
     accepted.sort()
     return accepted
 
@@ -307,9 +307,9 @@ def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMe
     candidates.extend(_lead_candidates(text, gazetteer))
     candidates.extend(_pattern_candidates(text))
     accepted = _resolve_overlaps(candidates, len(text))
-    spans = byte_spans(text, [(start, end) for start, end, _ in accepted])
+    spans = byte_spans(text, [(start, end) for start, end, _, _ in accepted])
     mentions: list[EntityMention] = []
-    for (start, end, etype), span in zip(accepted, spans):
+    for (start, end, etype, _rank), span in zip(accepted, spans):
         surface = text[start:end]
         key = normalize_key(surface)
         if not key:
@@ -318,43 +318,42 @@ def recognize_builtin(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMe
     return mentions
 
 
-def mention_fields(sentences_by_id: dict[int, Sentence]) -> dict[str, Field]:
+def mention_fields(data_by_id: dict[int, bytes]) -> dict[str, Field]:
     """The mention record, which sidecar lines, service replies and
-    mentions.jsonl share, naming the sentences of `sentences_by_id`."""
-
-    def data(record: dict) -> bytes:
-        return sentences_by_id[record["sentence_id"]].text.encode("utf-8")
-
+    mentions.jsonl share, naming the sentences whose UTF-8 text
+    `data_by_id` holds by sentence id."""
     return {
-        "sentence_id": Field(int, lambda v, r: v in sentences_by_id, "a known sentence id"),
+        "sentence_id": Field(int, lambda v, r: v in data_by_id, "a known sentence id"),
         "start": COUNT,
         "end": Field(
-            int, lambda v, r: r["start"] < v <= len(data(r)), "past start, within the sentence"
+            int,
+            lambda v, r: r["start"] < v <= len(data_by_id[r["sentence_id"]]),
+            "past start, within the sentence",
         ),
         "surface": Field(
             str,
-            lambda v, r: data(r)[r["start"] : r["end"]] == v.encode("utf-8") and normalize_key(v),
+            lambda v, r: data_by_id[r["sentence_id"]][r["start"] : r["end"]] == v.encode("utf-8")
+            and normalize_key(v),
             "the sentence's bytes start..end, not all whitespace",
         ),
         "type": Field(str, lambda v, r: v in ENTITY_TYPES, "an entity type"),
     }
 
 
-def _finalize(per_sentence: dict[int, list[dict]]) -> dict[int, list[EntityMention]]:
-    """The mentions of checked mention records: longest-match overlap
-    resolution per sentence, sorted by span."""
+def _finalize(sentences: list[Sentence], records: list[dict]) -> dict[int, list[EntityMention]]:
+    """The mentions of checked mention records, for every sentence: record i
+    takes rank i, so longest-match overlap resolution per sentence lets the
+    earlier record win a tie. Sorted by span."""
+    candidates: dict[int, list] = {s.sentence_id: [] for s in sentences}
+    for rank, r in enumerate(records):
+        candidates[r["sentence_id"]].append((r["start"], r["end"], r["type"], rank))
     out: dict[int, list[EntityMention]] = {}
-    for sid, records in per_sentence.items():
-        candidates = [(r["start"], r["end"], r["type"], (0, i)) for i, r in enumerate(records)]
-        size = max((r["end"] for r in records), default=0)
-        keep_spans = {(s, e) for s, e, _t in _resolve_overlaps(candidates, size)}
-        kept: dict[tuple[int, int], EntityMention] = {}
-        for r in records:
-            span = (r["start"], r["end"])
-            if span in keep_spans and span not in kept:
-                surface = r["surface"]
-                kept[span] = EntityMention(surface, r["type"], span, normalize_key(surface))
-        out[sid] = [kept[span] for span in sorted(kept)]
+    for sid, found in candidates.items():
+        mentions = out[sid] = []
+        size = max((end for _, end, _, _ in found), default=0)
+        for start, end, etype, rank in _resolve_overlaps(found, size):
+            surface = records[rank]["surface"]
+            mentions.append(EntityMention(surface, etype, (start, end), normalize_key(surface)))
     return out
 
 
@@ -362,11 +361,8 @@ def load_sidecar(
     sidecar_path: str, sentences: list[Sentence]
 ) -> dict[int, list[EntityMention]]:
     """Load mention annotations from a JSON Lines sidecar file."""
-    fields = mention_fields({s.sentence_id: s for s in sentences})
-    per_sentence: dict[int, list[dict]] = {s.sentence_id: [] for s in sentences}
-    for _, record in iter_jsonl(sidecar_path, fields):
-        per_sentence[record["sentence_id"]].append(record)
-    return _finalize(per_sentence)
+    fields = mention_fields({s.sentence_id: s.text.encode("utf-8") for s in sentences})
+    return _finalize(sentences, [record for _, record in iter_jsonl(sidecar_path, fields)])
 
 
 def recognize_service(
@@ -423,17 +419,15 @@ def recognize_service(
             )
         return check_record(body, {"mentions": Field(list)}, "service response")["mentions"]
 
-    per_sentence: dict[int, list[dict]] = {s.sentence_id: [] for s in sentences}
-    if batches:
-        workers = max(1, min(max_in_flight, len(batches)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fetch, batches))
-        for batch_index, (batch, records) in enumerate(zip(batches, results)):
-            fields = mention_fields({s.sentence_id: s for s in batch})
-            for record_index, record in enumerate(records):
-                where = f"service batch {batch_index} record {record_index}"
-                per_sentence[record["sentence_id"]].append(check_record(record, fields, where))
-    return _finalize(per_sentence)
+    with ThreadPoolExecutor(max_workers=max(1, min(max_in_flight, len(batches)))) as pool:
+        results = list(pool.map(fetch, batches))
+    records = []
+    for batch_index, (batch, replies) in enumerate(zip(batches, results)):
+        fields = mention_fields({s.sentence_id: s.text.encode("utf-8") for s in batch})
+        for record_index, record in enumerate(replies):
+            where = f"service batch {batch_index} record {record_index}"
+            records.append(check_record(record, fields, where))
+    return _finalize(sentences, records)
 
 
 def recognize(

@@ -243,6 +243,8 @@ def _format_value(value) -> str:
 
 def load_config(path: str) -> PipelineConfig:
     """Parse the flat `key = value` config file; paths resolve relative to it."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"config file {path} does not exist or is not a regular file")
     base_dir = os.path.dirname(os.path.abspath(path))
     values = {}
     for lineno, line in iter_lines(path, comments=True):

@@ -406,11 +406,11 @@ def scan_gazetteer_candidates(text: str, table: dict[str, str]):
 def quadratic_resolve_overlaps(candidates):
     """entities._resolve_overlaps, testing each span against every accepted one."""
     ordered = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
-    accepted: list[tuple[int, int, str]] = []
-    for start, end, etype, _rank in ordered:
-        if any(start < e and s < end for s, e, _ in accepted):
+    accepted = []
+    for start, end, etype, rank in ordered:
+        if any(start < e and s < end for s, e, _, _ in accepted):
             continue
-        accepted.append((start, end, etype))
+        accepted.append((start, end, etype, rank))
     accepted.sort()
     return accepted
 
@@ -473,7 +473,7 @@ def three_loop_recognize(sentence, table) -> list[EntityMention]:
     candidates.extend(loop_pattern_candidates(text))
     candidates.extend(loop_capitalized_run_candidates(text))
     mentions = []
-    for start, end, etype in quadratic_resolve_overlaps(candidates):
+    for start, end, etype, _rank in quadratic_resolve_overlaps(candidates):
         surface = text[start:end]
         key = normalize_key(surface)
         if key:

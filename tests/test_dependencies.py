@@ -94,21 +94,28 @@ def test_open_scan_sees_each_form():
 
 
 def _unnamed_definitions(sources: list[str]) -> set[str]:
-    """Functions, classes and methods that no other line of the sources
-    names, by name alone: an identifier, an attribute or an import that
-    spells the name counts as a use. Dunder methods are called implicitly
-    and never listed."""
-    defined, named = set(), set()
-    for node in ast.walk(ast.Module(body=[ast.parse(s) for s in sources], type_ignores=[])):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    """Functions and classes that no other line of the sources names, and
+    methods (properties too) that none reads as an attribute. A function or
+    class counts as used by any identifier, attribute or import that spells
+    its name; a method only by an attribute, so a local variable of the same
+    name does not hide it. Dunder methods are called implicitly and never
+    listed."""
+    tree = ast.Module(body=[ast.parse(s) for s in sources], type_ignores=[])
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, methods, named, read = set(), set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update(item.name for item in node.body if isinstance(item, functions))
+        if isinstance(node, (*functions, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+            read.add(node.attr)
         elif isinstance(node, ast.alias):
             named.add(node.name)
-    return {name for name in defined - named if not re.fullmatch(r"__\w+__", name)}
+    unused = (defined - methods - named - read) | (methods - read)
+    return {name for name in unused if not re.fullmatch(r"__\w+__", name)}
 
 
 def test_package_holds_no_code_only_tests_use():
@@ -117,9 +124,10 @@ def test_package_holds_no_code_only_tests_use():
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, name), "r", encoding="utf-8") as handle:
                 sources.append(handle.read())
-    # is_dominating_set stays only because perfbench's check reads it;
-    # ROADMAP item 3 moves it to tests/oracles.py and perfbench
-    assert _unnamed_definitions(sources) == {"is_dominating_set"}
+    # perfbench reads both: its check calls is_dominating_set and its tracer
+    # reads SentenceGraph.postings; ROADMAP item 3 moves the first to
+    # tests/oracles.py and perfbench and drops the second
+    assert _unnamed_definitions(sources) == {"is_dominating_set", "postings"}
 
 
 def test_unnamed_definition_scan_sees_each_form():
@@ -127,11 +135,13 @@ def test_unnamed_definition_scan_sees_each_form():
         "def called(): pass\ndef unused(): pass\nclass Annotation: pass\n"
         "class Lonely:\n    def __init__(self): pass\n    def method(self): pass\n"
         "    def orphan(self): pass\n    async def waited(self): pass\n"
+        "    @property\n    def shadowed(self): pass\n"
         "def imported(): pass\ndef referenced(): pass\n",
         "from .a import imported\nx: Annotation = called()\nobj.method()\n"
-        "await obj.waited()\nhandlers = [referenced]\n",
+        "await obj.waited()\nhandlers = [referenced]\n"
+        "orphan = shadowed = len(handlers)\nprint(orphan, shadowed)\n",
     ]
-    assert _unnamed_definitions(sources) == {"unused", "Lonely", "orphan"}
+    assert _unnamed_definitions(sources) == {"unused", "Lonely", "orphan", "shadowed"}
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -530,6 +530,19 @@ class TestConfigAndFiles:
         with pytest.raises(ValidationError, match="TEAM"):
             load_gazetteers([str(path)])
 
+    @pytest.mark.parametrize(
+        "line",
+        ["Lakers ORG", "Lakers\tORG\tMISC", "  \tORG"],
+        ids=["no_tab", "two_tabs", "blank_term"],
+    )
+    def test_gazetteer_line_not_term_tab_type_names_it(self, tmp_path, line):
+        # a line is stripped before it is split, so a blank term leaves no tab
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"# teams\nLakers\tORG\n{line}\n", encoding="utf-8")
+        expected = f"^{re.escape(str(path))}:3: expected 'term<TAB>TYPE'$"
+        with pytest.raises(ValidationError, match=expected):
+            load_gazetteers([str(path)])
+
     def test_stoplist_normalizes(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("  The   NBA \n# nope\n", encoding="utf-8")

@@ -242,6 +242,32 @@ def test_int64_subset_tables_match_the_default_build(case):
         assert result.selected == expected, cap
 
 
+def test_int64_subset_ids_beside_int32_level_codes():
+    # mixed_rows() never gives a subset table past the level codes' bound.
+    # Here 8 keys and a few thousand rows, most of 5 keys (31 subsets each),
+    # give a table far past the largest level-code bound, 4-key subsets x 8
+    # keys = 560: a cap between the two makes the ids int64 and every
+    # level's codes int32, and those codes pass 2**8
+    rng = random.Random(28)
+    n, keys = 3000, 8
+    postings = {f"k{k}": [] for k in range(keys)}
+    for v in range(n):
+        for k in rng.sample(range(keys), rng.choice((1, 2, 5, 5, 5, 5))):
+            postings[f"k{k}"].append(v)
+    default = SentenceGraph.from_postings(n, postings)
+    table = keys + default.subset_ids.size
+    code_bound = math.comb(keys, 4) * keys
+    assert default.subset_ids.dtype == np.int32 and code_bound < table
+    with mock.patch.object(sentgraph, "_INT32_MAX", (code_bound + table) // 2):
+        graph = SentenceGraph.from_postings(n, postings)
+        result = approx_dominating_set(graph)
+    assert graph.subset_ids.dtype == np.int64
+    oracle = oracles.DictGraph(n, postings)
+    assert np.array_equal(default.cached_degrees, oracle.degrees)
+    assert np.array_equal(graph.cached_degrees, default.cached_degrees)
+    assert result.selected == oracles.heap_dominating_set(oracle)["selected"]
+
+
 def assert_degrees_match(n, postings):
     graph = SentenceGraph.from_postings(n, postings)
     assert graph.cached_degrees.tolist() == oracles.DictGraph(n, postings).degrees.tolist()

@@ -277,6 +277,27 @@ class TestConfig:
         assert f"config key {key}: expected a finite number, got {value!r}" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("degree_mode = greedy", "degree_mode must be one of"),
+            ("input_paths =", "input_paths is required"),
+            ("retrieval_enabled = true", "retrieval_enabled requires support_paths"),
+            ("seed 7", "pipeline.cfg:9: expected 'key = value'"),
+            ("retrieval_top_k = 0", "retrieval_top_k must be >= 1"),
+            ("min_extra_shared_entities = -1", "min_extra_shared_entities must be >= 0"),
+        ],
+        ids=["choice", "no_input", "no_support", "no_equals", "top_k", "extra_shared"],
+    )
+    def test_refused_config_exits_2_naming_its_key_or_line(self, tmp_path, capsys, line, named):
+        path = write_fixture_config(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")  # the config's ninth line
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]: " in err and named in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_sidecar_mode_with_retrieval_needs_a_support_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "mentions.jsonl"
         sidecar.write_text("", encoding="utf-8")
@@ -496,6 +517,28 @@ class TestRunPipeline:
         posted = RecognizerHandler.posted_texts
         assert "The Lakers signed a coach." in posted
         assert "Fans of the Lakers cheered." in posted
+
+    def test_sidecars_of_builtin_mentions_reproduce_the_builtin_run(self, tmp_path):
+        config = load_config(write_fixture_config(tmp_path, **RETRIEVAL))
+        run_pipeline(config)
+        expected = read_artifacts(config.output_dir)
+        sidecars = {}
+        for name, paths, input_format in (
+            ("query", config.input_paths, config.input_format),
+            ("support", config.support_paths, config.support_format),
+        ):
+            _, sentences = pipeline_mod.ingest_and_segment(config, paths, input_format)
+            sidecars[name] = str(tmp_path / f"{name}_mentions.jsonl")
+            mentions = entities_mod.recognize(sentences, config.recognizer_config())
+            pipeline_mod.write_mentions(mentions, sidecars[name])
+        query_sidecar = {"recognizer_mode": "sidecar", "sidecar_path": sidecars["query"]}
+        for name, overrides in (("support_sidecar", {}), ("both_sidecars", query_sidecar)):
+            path = write_fixture_config(
+                tmp_path, name, out=name, support_sidecar_path=sidecars["support"],
+                **RETRIEVAL, **overrides,
+            )
+            run_pipeline(load_config(path))
+            assert read_artifacts(tmp_path / name) == expected, name
 
     def test_artifacts_do_not_depend_on_the_input_directory(self, tmp_path):
         runs = []
@@ -952,6 +995,21 @@ class TestCli:
         path = write_fixture_config(tmp_path, **{key: str(latin1)})
         assert main(["run", "--config", path]) == 2
         assert f"{latin1}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_config_that_is_not_a_file_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "pipeline.cfg"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [config]: config file {path} does not exist or is not a regular file" in err
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["run", "--config", write_fixture_config(tmp_path), "--out", str(taken)]) == 1
+        assert "error [io]: [Errno 17] File exists" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -128,6 +128,8 @@ class TestWhSampling:
             priors_of(GPE=[("where did", 0.0), ("where was", 1.0)])
         with pytest.raises(ValidationError, match="unknown entity type"):
             priors_of(ANIMAL=[("which", 1.0)])
+        with pytest.raises(ValidationError, match="priors for GPE are empty"):
+            priors_of(GPE=[])
 
     def test_default_priors_cover_every_type(self):
         priors = WhPriors.default()
@@ -149,6 +151,7 @@ class TestWhSampling:
             {"GPE": [["where did", "1.0"]]},
             {"GPE": [[1, 1.0]]},
             {"GPE": [["where did", 0.5]]},
+            {"GPE": []},
         ],
     )
     def test_malformed_priors_file_names_its_path(self, tmp_path, payload):
